@@ -46,16 +46,6 @@ class IsoWeek(NamedTuple):
         return IsoWeek.of(self.monday() + dt.timedelta(days=7))
 
 
-def week_range(start: IsoWeek, stop: IsoWeek) -> list[IsoWeek]:
-    """All ISO weeks from start to stop inclusive."""
-    if stop < start:
-        raise ConfigError(f"week range {start.label}..{stop.label} is reversed")
-    out = [start]
-    while out[-1] < stop:
-        out.append(out[-1].next())
-    return out
-
-
 @dataclass(frozen=True)
 class BusinessCalendar:
     """Weekday calendar minus an explicit holiday set."""

@@ -2,9 +2,11 @@
 
 Each stage reads the previous stage's artifact and writes its own, so
 stages are independently runnable and the whole chain is a pure function
-of (input files, configuration, seed). Configuration precedence is
-flag > config file > built-in default. Errors exit with code 2 (config),
-3 (data) or 4 (numerical) and a JSON error object on stderr.
+of (input files, configuration, seed). The argparse parser is the one
+declaration of every setting; config-file values are turned into flag
+tokens and parsed by it too, so precedence is flag > config file >
+built-in default. Errors exit with code 2 (config), 3 (data) or 4
+(numerical) and a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -24,53 +27,54 @@ from .classify import classify_trades
 from .errors import BondTcaError, ConfigError, DataError
 from .features import DESIGN_FEATURES, build_feature_matrix, design_matrix
 from .impact import (
-    SignSeries,
-    average_kernels,
-    empirical_signature,
-    estimate_pair_moments,
-    estimate_tim1,
-    fit_d_const,
-    model_signature_tim1,
-    model_signature_tim2,
-    solve_tim2,
+    SignSeries, average_kernels, empirical_signature, estimate_pair_moments, estimate_tim1,
+    fit_d_const, model_signature_tim1, model_signature_tim2, solve_tim2,
 )
 from .ingest import cap_volumes, group_by_cusip, ingest_reports, parse_trace_csv
 from .microstructure import (
-    aggregate_weekly,
-    estimate_spreads,
-    one_sided_spreads_by_day,
+    MID_CONVENTIONS, aggregate_weekly, estimate_spreads, one_sided_spreads_by_day,
 )
 from .regress import (
-    DEFAULT_EN_ALPHAS,
-    DEFAULT_LASSO_GRID,
-    DEFAULT_RIDGE_GRID,
-    Dataset,
-    GridPoint,
-    fit_ols,
-    k_fold_cv,
-    relative_error,
-    select_by_ci,
-    _fit_for,
+    DEFAULT_EN_ALPHAS, DEFAULT_LASSO_GRID, DEFAULT_RIDGE_GRID, Dataset, GridPoint, fit_ols,
+    k_fold_cv, relative_error, select_by_ci, _fit_for,
 )
 from .stats import welch_t
 from .synthgen import (
-    KernelSpec,
-    SignProcess,
-    SynthConfig,
-    generate_trace_fixture,
-    market_context_rows,
+    KernelSpec, SignProcess, SynthConfig, generate_trace_fixture, market_context_rows,
     reference_rows,
 )
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+class BondTcaParser(argparse.ArgumentParser):
+    """Argument parser whose errors raise ConfigError (exit 2, JSON on stderr)."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive(cast):
+    """argparse type: a finite number above zero, read with ``cast``."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"positive {cast.__name__}"  # argparse: "invalid positive int value"
+    return parse
+
+
+def _float_list(text: str) -> list[float]:
     try:
-        obj = json.loads(p.read_text())
+        return [float(a) for a in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _load_config_file(path: Path) -> dict:
+    try:
+        obj = json.loads(_require(path, "config").read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -78,95 +82,98 @@ def _load_config_file(path: str | None) -> dict:
     return obj
 
 
-def _setting(args, file_cfg: dict, section: str, key: str, default):
-    """flag > config file > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    sect = file_cfg.get(section, {})
-    if isinstance(sect, dict) and key in sect:
-        return sect[key]
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _file_tokens(file_cfg: dict, command: str, commands: dict) -> list[str]:
+    """The config file's values for ``command`` as flag tokens.
+
+    A JSON object is a section named after a subcommand; any other value is
+    a flat key, which applies to every subcommand that declares it. Flat
+    keys come first, so a section value wins over a flat one.
+    """
+    declared = {  # subcommand -> setting name -> option; --help and --config are not settings
+        name: {a.dest: a for a in p._actions if a.option_strings and a.dest not in ("help", "config")}
+        for name, p in commands.items()
+    }
+    sections = {k: v for k, v in file_cfg.items() if isinstance(v, dict)}
+    flat = {k: v for k, v in file_cfg.items() if k not in sections}
+    unknown = [k for k in flat if not any(k in settings for settings in declared.values())]
+    unknown += [k for k in sections if k not in declared]
+    unknown += [
+        f"{name}.{key}"
+        for name, section in sections.items() if name in declared
+        for key in section if key not in declared[name]
+    ]
+    if unknown:
+        raise ConfigError(f"config file: unknown sections or keys {unknown}")
+    ours = declared[command]
+    tokens = []
+    for key, value in [*flat.items(), *sections.get(command, {}).items()]:
+        if key not in ours:
+            continue  # a flat key for another subcommand
+        flag = ours[key].option_strings[0]
+        if ours[key].nargs == 0 and isinstance(value, bool):  # a switch
+            tokens += [flag] if value else []
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _calendar(args, file_cfg) -> BusinessCalendar:
-    path = _setting(args, file_cfg, "calendar", "calendar", None)
-    return BusinessCalendar.from_file(path) if path else BusinessCalendar()
-
-
-def _require(path: str | None, what: str) -> str:
+def _require(path: Path | None, what: str) -> Path:
     if not path:
         raise ConfigError(f"missing required input: {what}")
-    if not Path(path).exists():
+    if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     return path
 
 
-_PATH_ARGS = frozenset(
-    {"config", "calendar", "tape", "clean", "signed", "weekly", "reference",
-     "context", "features"}
-)
+def _calendar(args) -> BusinessCalendar:
+    if args.calendar is None:
+        return BusinessCalendar()
+    return BusinessCalendar.from_file(_require(args.calendar, "calendar"))
 
 
-def _meta(args, extra: dict | None = None) -> dict:
-    core = {k: v for k, v in vars(args).items() if k not in ("func",) and v is not None}
-    # hash only semantic settings: file locations must not affect artifact bytes
-    hashable = {
+def _meta(args) -> dict:
+    """Provenance: a hash of the subcommand and of every setting in effect.
+
+    File locations (options declared with ``type=Path``) stay out of the
+    hash, so moving an input or an output does not change artifact bytes.
+    """
+    settings = {
         k: v
-        for k, v in core.items()
-        if not str(k).startswith("out_") and k not in _PATH_ARGS
+        for k, v in vars(args).items()
+        if k != "func" and v is not None and not isinstance(v, Path)
     }
-    meta = {"config_hash": artifacts.config_hash(hashable)}
-    if "seed" in core:
-        meta["seed"] = core["seed"]
-    meta.update(extra or {})
+    meta = {"config_hash": artifacts.config_hash(settings)}
+    if "seed" in settings:
+        meta["seed"] = settings["seed"]
     return meta
 
 
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_generate(args, file_cfg) -> None:
-    kernel_buy = KernelSpec(
-        family=_setting(args, file_cfg, "generate", "kernel_family", "exponential"),
-        g0=float(_setting(args, file_cfg, "generate", "kernel_g0", 25.0)),
-        beta=float(_setting(args, file_cfg, "generate", "kernel_beta", 0.4)),
-        gamma=float(_setting(args, file_cfg, "generate", "kernel_gamma", 1.0)),
-    )
-    sell_g0 = _setting(args, file_cfg, "generate", "kernel_sell_g0", None)
+def cmd_generate(args) -> None:
+    kernel_buy = KernelSpec(args.kernel_family, args.kernel_g0, args.kernel_beta, args.kernel_gamma)
     kernel_sell = None
-    if sell_g0 is not None:
-        kernel_sell = KernelSpec(
-            family=kernel_buy.family,
-            g0=float(sell_g0),
-            beta=float(_setting(args, file_cfg, "generate", "kernel_sell_beta", kernel_buy.beta)),
-            gamma=kernel_buy.gamma,
-        )
+    if args.kernel_sell_g0 is not None:
+        beta = args.kernel_beta if args.kernel_sell_beta is None else args.kernel_sell_beta
+        kernel_sell = KernelSpec(args.kernel_family, args.kernel_sell_g0, beta, args.kernel_gamma)
     config = SynthConfig(
-        seed=int(_setting(args, file_cfg, "generate", "seed", 0)),
-        n_events=int(_setting(args, file_cfg, "generate", "events", 10_000)),
-        n_bonds=int(_setting(args, file_cfg, "generate", "bonds", 1)),
+        seed=args.seed,
+        n_events=args.events,
+        n_bonds=args.bonds,
         kernel_buy=kernel_buy,
         kernel_sell=kernel_sell,
-        sign=SignProcess(
-            kind=_setting(args, file_cfg, "generate", "sign_process", "iid"),
-            p_buy=float(_setting(args, file_cfg, "generate", "p_buy", 0.5)),
-            flip_prob=float(_setting(args, file_cfg, "generate", "flip_prob", 0.5)),
-        ),
-        noise_sd_bp=float(_setting(args, file_cfg, "generate", "noise_sd_bp", 5.0)),
-        alpha=float(_setting(args, file_cfg, "generate", "alpha", 0.0)),
-        half_spread_bp=float(_setting(args, file_cfg, "generate", "half_spread_bp", 30.0)),
-        rpt_fraction=float(_setting(args, file_cfg, "generate", "rpt_fraction", 0.0)),
-        cancel_rate=float(_setting(args, file_cfg, "generate", "cancel_rate", 0.0)),
-        correction_rate=float(_setting(args, file_cfg, "generate", "correction_rate", 0.0)),
+        sign=SignProcess(kind=args.sign_process, p_buy=args.p_buy, flip_prob=args.flip_prob),
+        noise_sd_bp=args.noise_sd_bp,
+        alpha=args.alpha,
+        half_spread_bp=args.half_spread_bp,
+        rpt_fraction=args.rpt_fraction,
+        cancel_rate=args.cancel_rate,
+        correction_rate=args.correction_rate,
     )
-    calendar = _calendar(args, file_cfg)
-    tape, manifest = generate_trace_fixture(config, calendar)
-    out_tape = args.out_tape or "tape.csv"
-    Path(out_tape).write_bytes(tape)
-    artifacts.write_json(args.out_manifest or "manifest.json", manifest.to_json_obj(), _meta(args))
+    tape, manifest = generate_trace_fixture(config, _calendar(args))
+    args.out_tape.write_bytes(tape)
+    artifacts.write_json(args.out_manifest, manifest.to_json_obj(), _meta(args))
 
     events_per_day = (config.day_end_second - config.day_start_second) // config.trade_spacing_seconds + 1
     n_days = -(-config.n_events // events_per_day) + 10  # ceil plus margin
@@ -174,50 +181,42 @@ def cmd_generate(args, file_cfg) -> None:
     weeks = sorted(
         {IsoWeek.of(config.start_date + dt.timedelta(days=7 * i)) for i in range(n_weeks)}
     )
-    artifacts.write_bond_references(
-        args.out_reference or "reference.csv", reference_rows(config), _meta(args)
-    )
-    artifacts.write_market_context(
-        args.out_context or "context.csv", market_context_rows(config, weeks), _meta(args)
-    )
-    print(f"wrote {out_tape} ({config.n_bonds} bonds, {config.n_events} events each)")
+    artifacts.write_bond_references(args.out_reference, reference_rows(config), _meta(args))
+    artifacts.write_market_context(args.out_context, market_context_rows(config, weeks), _meta(args))
+    print(f"wrote {args.out_tape} ({config.n_bonds} bonds, {config.n_events} events each)")
 
 
-def cmd_ingest(args, file_cfg) -> None:
-    tape = _require(args.tape, "trade tape")
-    calendar = _calendar(args, file_cfg)
-    reports = parse_trace_csv(tape)
-    clean, report = ingest_reports(reports, calendar)
+def cmd_ingest(args) -> None:
+    reports = parse_trace_csv(_require(args.tape, "trade tape"))
+    clean, report = ingest_reports(reports, _calendar(args))
     if args.cap_volumes:
         refs = artifacts.read_bond_references(_require(args.reference, "bond reference"))
         clean = cap_volumes(clean, {c: r.grade for c, r in refs.items()})
-    artifacts.write_clean_trades(args.out_clean or "clean.csv", clean, _meta(args))
-    artifacts.write_filter_report(args.out_filter_report or "filter_report.json", report, _meta(args))
+    artifacts.write_clean_trades(args.out_clean, clean, _meta(args))
+    artifacts.write_filter_report(args.out_filter_report, report, _meta(args))
     print(f"ingested {len(reports)} reports -> {len(clean)} clean trades")
 
 
-def cmd_classify(args, file_cfg) -> None:
+def cmd_classify(args) -> None:
     trades = artifacts.read_clean_trades(_require(args.clean, "clean trades"))
     signed = classify_trades(trades)
-    artifacts.write_signed_trades(args.out_signed or "signed.csv", signed, _meta(args))
+    artifacts.write_signed_trades(args.out_signed, signed, _meta(args))
     n_rpt = sum(1 for t in signed if t.is_rpt)
     print(f"classified {len(signed)} trades, {n_rpt} RPT legs")
 
 
-def cmd_spread(args, file_cfg) -> None:
+def cmd_spread(args) -> None:
     signed = artifacts.read_signed_trades(_require(args.signed, "signed trades"))
-    delta_t = float(_setting(args, file_cfg, "spread", "delta_t", 300.0))
-    convention = _setting(args, file_cfg, "spread", "mid_convention", "paper")
     grouped = group_by_cusip(signed)
     obs = []
     used = 0
     for cusip in sorted(grouped):
-        bond_obs = estimate_spreads(grouped[cusip], delta_t, convention)
+        bond_obs = estimate_spreads(grouped[cusip], args.delta_t, args.mid_convention)
         used += len({k for o in bond_obs for k in (o.k - 1, o.k)})
         obs.extend(bond_obs)
     weekly = aggregate_weekly(obs)
-    artifacts.write_spread_observations(args.out_observations or "spreads.csv", obs, _meta(args))
-    artifacts.write_weekly_spreads(args.out_weekly or "weekly.csv", weekly, _meta(args))
+    artifacts.write_spread_observations(args.out_observations, obs, _meta(args))
+    artifacts.write_weekly_spreads(args.out_weekly, weekly, _meta(args))
     fraction = used / len(signed) if signed else 0.0
     print(
         f"{len(obs)} spread observations -> {len(weekly)} bond-weeks "
@@ -225,62 +224,52 @@ def cmd_spread(args, file_cfg) -> None:
     )
 
 
-def cmd_features(args, file_cfg) -> None:
+def cmd_features(args) -> None:
     signed = artifacts.read_signed_trades(_require(args.signed, "signed trades"))
     weekly = artifacts.read_weekly_spreads(_require(args.weekly, "weekly spreads"))
     refs = artifacts.read_bond_references(_require(args.reference, "bond reference"))
     context = artifacts.read_market_context(_require(args.context, "market context"))
-    rows = build_feature_matrix(weekly, signed, refs, context, _calendar(args, file_cfg))
-    artifacts.write_feature_rows(args.out_features or "features.csv", rows, _meta(args))
+    rows = build_feature_matrix(weekly, signed, refs, context, _calendar(args))
+    artifacts.write_feature_rows(args.out_features, rows, _meta(args))
     print(f"built {len(rows)} feature rows")
 
 
-def _parse_week_range(text: str) -> tuple[IsoWeek, IsoWeek]:
+def _week_range(text: str) -> tuple[IsoWeek, IsoWeek]:
     try:
         a, b = text.split(":")
     except ValueError:
-        raise ConfigError(f"week range must look like 2015-W01:2015-W26, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected 2015-W01:2015-W26, got {text!r}") from None
     lo, hi = IsoWeek.parse(a), IsoWeek.parse(b)
     if hi < lo:
-        raise ConfigError(f"week range {text!r} is reversed")
+        raise argparse.ArgumentTypeError(f"week range {text!r} is reversed")
     return lo, hi
 
 
-def _grid_for(args, file_cfg, model: str) -> list[GridPoint]:
-    text = _setting(args, file_cfg, "fit", "lambda_grid", None)
-    if text:
-        try:
-            lo, hi, num = str(text).split(":")
-            lams = np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num))
-        except ValueError:
-            raise ConfigError(f"lambda grid must look like lo:hi:num, got {text!r}")
-    elif model == "ridge":
-        lams = DEFAULT_RIDGE_GRID
-    else:
-        lams = DEFAULT_LASSO_GRID
-    if model == "en":
-        alphas_text = _setting(args, file_cfg, "fit", "alpha", None)
-        alphas = (
-            [float(a) for a in str(alphas_text).split(",")] if alphas_text else DEFAULT_EN_ALPHAS
-        )
-        return [GridPoint(float(l), float(a)) for a in alphas for l in lams]
+def _lambda_grid(text: str) -> tuple[float, ...]:
+    try:
+        lo, hi, num = text.split(":")
+        return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi:num, got {text!r}") from None
+
+
+def _grid_for(args) -> list[GridPoint]:
+    lams = args.lambda_grid
+    if lams is None:
+        lams = DEFAULT_RIDGE_GRID if args.model == "ridge" else DEFAULT_LASSO_GRID
+    if args.model == "en":
+        return [GridPoint(float(l), a) for a in args.alpha for l in lams]
     return [GridPoint(float(l)) for l in lams]
 
 
-def cmd_fit(args, file_cfg) -> None:
+def cmd_fit(args) -> None:
     rows = artifacts.read_feature_rows(_require(args.features, "feature rows"))
-    model = _setting(args, file_cfg, "fit", "model", "lslasso")
-    seed = int(_setting(args, file_cfg, "fit", "seed", 0))
-    k = int(_setting(args, file_cfg, "fit", "k_folds", 10))
-    names_text = _setting(args, file_cfg, "fit", "features_list", None)
-    names = tuple(str(names_text).split(",")) if names_text else DESIGN_FEATURES
 
     train_rows, test_rows = rows, []
     if args.train_range or args.test_range:
         if not (args.train_range and args.test_range):
             raise ConfigError("provide both --train-range and --test-range or neither")
-        tr_lo, tr_hi = _parse_week_range(args.train_range)
-        te_lo, te_hi = _parse_week_range(args.test_range)
+        (tr_lo, tr_hi), (te_lo, te_hi) = args.train_range, args.test_range
         if not tr_hi < te_lo:
             raise ConfigError("training weeks must precede test weeks")
         train_rows = [r for r in rows if tr_lo <= r.week <= tr_hi]
@@ -288,19 +277,18 @@ def cmd_fit(args, file_cfg) -> None:
     if not train_rows:
         raise DataError("no training rows in range")
 
-    y, x, names = design_matrix(train_rows, names)
+    y, x, names = design_matrix(train_rows, args.features_list)
     data = Dataset.from_covariates(y, x, names)
 
-    result = {"model": model}
-    if model == "ols":
+    result = {"model": args.model}
+    if args.model == "ols":
         fit = fit_ols(data)
         cv_obj = None
     else:
-        grid = _grid_for(args, file_cfg, model)
-        report = k_fold_cv(data, model, grid, k=k, seed=seed)
+        report = k_fold_cv(data, args.model, _grid_for(args), k=args.k_folds, seed=args.seed)
         chosen = select_by_ci(report)
         point = GridPoint(chosen.lam, chosen.alpha)
-        fit = _fit_for(model, data, point)
+        fit = _fit_for(args.model, data, point)
         cv_obj = report.to_json_obj()
         result["chosen"] = {"lambda": chosen.lam, "alpha": chosen.alpha}
     result["fit"] = fit.to_json_obj()
@@ -317,10 +305,10 @@ def cmd_fit(args, file_cfg) -> None:
             "relative_error": relative_error(ty, pred) if np.all(ty != 0) else None,
         }
 
-    artifacts.write_json(args.out_fit or "fit.json", result, _meta(args))
+    artifacts.write_json(args.out_fit, result, _meta(args))
     if cv_obj is not None:
-        artifacts.write_json(args.out_cv or "cv.json", cv_obj, _meta(args))
-    print(f"fit {model} on {len(train_rows)} rows; R^2={fit.r_squared:.4f}")
+        artifacts.write_json(args.out_cv, cv_obj, _meta(args))
+    print(f"fit {args.model} on {len(train_rows)} rows; R^2={fit.r_squared:.4f}")
 
 
 def _spread_mids_for_bond(trades, mid_by_k):
@@ -344,7 +332,7 @@ def _spread_mids_for_bond(trades, mid_by_k):
     return mids
 
 
-def _impact_for_bond(trades, alpha, n_lags, l_lags, l_max, model, mid_by_k=None):
+def _impact_for_bond(trades, alpha, n_lags, l_lags, model, mid_by_k=None):
     mids = _spread_mids_for_bond(trades, mid_by_k) if mid_by_k is not None else None
     series = SignSeries.from_signed_trades(trades, alpha=alpha, mids=mids)
     if mids is not None:
@@ -357,25 +345,18 @@ def _impact_for_bond(trades, alpha, n_lags, l_lags, l_max, model, mid_by_k=None)
     return out
 
 
-def cmd_impact(args, file_cfg) -> None:
+def cmd_impact(args) -> None:
     signed = artifacts.read_signed_trades(_require(args.signed, "signed trades"))
-    alpha = float(_setting(args, file_cfg, "impact", "alpha", 0.0))
-    n_lags = int(_setting(args, file_cfg, "impact", "n_lags", 10))
-    l_lags = int(_setting(args, file_cfg, "impact", "l_lags", 10))
-    l_max = int(_setting(args, file_cfg, "impact", "l_max", 10))
-    top_k = _setting(args, file_cfg, "impact", "top_k", None)
-    min_events = int(_setting(args, file_cfg, "impact", "min_events", 1000))
-    model = _setting(args, file_cfg, "impact", "model", "tim1")
-    threads = int(_setting(args, file_cfg, "impact", "threads", 1))
-
     grouped = group_by_cusip(signed)
     ranked = sorted(grouped, key=lambda c: (-len(grouped[c]), c))
-    if top_k is not None:
-        ranked = ranked[: int(top_k)]
-    usable = [c for c in ranked if sum(1 for t in grouped[c] if t.epsilon != 0) >= min_events]
+    if args.top_k is not None:
+        ranked = ranked[: args.top_k]
+    usable = [
+        c for c in ranked if sum(1 for t in grouped[c] if t.epsilon != 0) >= args.min_events
+    ]
     if not usable:
         raise DataError(
-            f"no bond has {min_events} signed events; lower --min-events or generate more data"
+            f"no bond has {args.min_events} signed events; lower --min-events or generate more data"
         )
 
     spread_mids: dict[str, dict[int, float]] | None = None
@@ -389,11 +370,11 @@ def cmd_impact(args, file_cfg) -> None:
     def work(cusip):
         mid_by_k = spread_mids.get(cusip, {}) if spread_mids is not None else None
         return cusip, _impact_for_bond(
-            grouped[cusip], alpha, n_lags, l_lags, l_max, model, mid_by_k
+            grouped[cusip], args.alpha, args.n_lags, args.l_lags, args.model, mid_by_k
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = dict(pool.map(work, usable))
     else:
         results = dict(work(c) for c in usable)
@@ -405,50 +386,46 @@ def cmd_impact(args, file_cfg) -> None:
         res = results[cusip]
         entry = {"mid_source": res["series"].mid_source}
         if "tim1" in res:
-            entry["tim1"] = artifacts.kernel_json_obj({None: res["tim1"]}, "tim1", alpha)
+            entry["tim1"] = artifacts.kernel_json_obj({None: res["tim1"]}, "tim1", args.alpha)
             tim1_kernels.append(res["tim1"])
         if "tim2" in res:
-            entry["tim2"] = artifacts.kernel_json_obj(res["tim2"], "tim2", alpha)
+            entry["tim2"] = artifacts.kernel_json_obj(res["tim2"], "tim2", args.alpha)
             for pi in (1, -1):
                 tim2_kernels[pi].append(res["tim2"][pi])
         out_obj["bonds"][cusip] = entry
     if tim1_kernels:
         out_obj["aggregate_tim1"] = artifacts.kernel_json_obj(
-            {None: average_kernels(tim1_kernels)}, "tim1", alpha
+            {None: average_kernels(tim1_kernels)}, "tim1", args.alpha
         )
     if tim2_kernels[1]:
         out_obj["aggregate_tim2"] = artifacts.kernel_json_obj(
-            {pi: average_kernels(tim2_kernels[pi]) for pi in (1, -1)}, "tim2", alpha
+            {pi: average_kernels(tim2_kernels[pi]) for pi in (1, -1)}, "tim2", args.alpha
         )
-    artifacts.write_json(args.out_kernel or "kernels.json", out_obj, _meta(args))
+    artifacts.write_json(args.out_kernel, out_obj, _meta(args))
 
     # Aggregate signature plot: equal-weight average of per-bond curves.
     d_emps, d_models = [], []
     for cusip in usable:
         res = results[cusip]
         series = res["series"]
-        emp = empirical_signature(series.mid, l_max)
-        moments = estimate_pair_moments(series, l_max + n_lags)
+        emp = empirical_signature(series.mid, args.l_max)
+        moments = estimate_pair_moments(series, args.l_max + args.n_lags)
         if "tim1" in res:
             partial = model_signature_tim1(
-                res["tim1"], moments.merged_series(), l_max, mean_flow=moments.mean_flow
+                res["tim1"], moments.merged_series(), args.l_max, mean_flow=moments.mean_flow
             )
         else:
-            partial = model_signature_tim2(res["tim2"], moments, l_max)
+            partial = model_signature_tim2(res["tim2"], moments, args.l_max)
         d_emps.append(emp.d)
         d_models.append(partial + fit_d_const(partial, emp.d))
-    lags = np.arange(1, l_max + 1)
+    lags = np.arange(1, args.l_max + 1)
     artifacts.write_signature(
-        args.out_signature or "signature.csv",
-        lags,
-        np.mean(d_emps, axis=0),
-        np.mean(d_models, axis=0),
-        _meta(args),
+        args.out_signature, lags, np.mean(d_emps, axis=0), np.mean(d_models, axis=0), _meta(args)
     )
-    print(f"impact kernels for {len(usable)} bonds ({model})")
+    print(f"impact kernels for {len(usable)} bonds ({args.model})")
 
 
-def cmd_report(args, file_cfg) -> None:
+def cmd_report(args) -> None:
     signed = artifacts.read_signed_trades(_require(args.signed, "signed trades"))
     sided = one_sided_spreads_by_day(signed)
     buys = [s.spread_buy for s in sided if s.spread_buy is not None]
@@ -470,118 +447,138 @@ def cmd_report(args, file_cfg) -> None:
         }
     if args.out_one_sided:
         artifacts.write_one_sided(args.out_one_sided, sided, _meta(args))
-    artifacts.write_json(args.out_report or "report.json", obj, _meta(args))
+    artifacts.write_json(args.out_report, obj, _meta(args))
     print(f"report over {len(signed)} trades; {len(sided)} bond-days with reference")
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> BondTcaParser:
+    """The one declaration of every setting: name, type, choices, bound, default.
+
+    Options declared with ``type=Path`` are file locations; every other
+    option is a setting that enters the config hash.
+    """
+    parser = BondTcaParser(
         prog="bondtca",
         description="Transaction-cost analysis pipeline for corporate bond trade tapes.",
     )
     parser.add_argument("--version", action="version", version=f"bondtca {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file; flags override file values")
-        p.add_argument("--calendar", help="business-day calendar file (holiday list)")
+        p.add_argument("--config", type=Path, help="JSON config file; flags override file values")
+        p.add_argument("--calendar", type=Path, help="business-day calendar file (holiday list)")
         p.set_defaults(func=func)
         return p
 
     g = add("generate", cmd_generate, "write a synthetic trade tape with known ground truth")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--events", type=int, help="events per bond")
-    g.add_argument("--bonds", type=int)
-    g.add_argument("--kernel-family", dest="kernel_family", choices=("exponential", "power_law", "constant"))
-    g.add_argument("--kernel-g0", dest="kernel_g0", type=float)
-    g.add_argument("--kernel-beta", dest="kernel_beta", type=float)
-    g.add_argument("--kernel-gamma", dest="kernel_gamma", type=float)
-    g.add_argument("--kernel-sell-g0", dest="kernel_sell_g0", type=float)
-    g.add_argument("--kernel-sell-beta", dest="kernel_sell_beta", type=float)
-    g.add_argument("--sign-process", dest="sign_process", choices=("iid", "markov"))
-    g.add_argument("--p-buy", dest="p_buy", type=float)
-    g.add_argument("--flip-prob", dest="flip_prob", type=float)
-    g.add_argument("--noise-sd-bp", dest="noise_sd_bp", type=float)
-    g.add_argument("--alpha", type=float)
-    g.add_argument("--half-spread-bp", dest="half_spread_bp", type=float)
-    g.add_argument("--rpt-fraction", dest="rpt_fraction", type=float)
-    g.add_argument("--cancel-rate", dest="cancel_rate", type=float)
-    g.add_argument("--correction-rate", dest="correction_rate", type=float)
-    g.add_argument("--out-tape", dest="out_tape")
-    g.add_argument("--out-manifest", dest="out_manifest")
-    g.add_argument("--out-reference", dest="out_reference")
-    g.add_argument("--out-context", dest="out_context")
+    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--events", type=int, default=10_000, help="events per bond")
+    g.add_argument("--bonds", type=int, default=1)
+    g.add_argument(
+        "--kernel-family", choices=("exponential", "power_law", "constant"), default="exponential"
+    )
+    g.add_argument("--kernel-g0", type=float, default=25.0)
+    g.add_argument("--kernel-beta", type=float, default=0.4)
+    g.add_argument("--kernel-gamma", type=float, default=1.0)
+    g.add_argument("--kernel-sell-g0", type=float, help="default: the buy kernel")
+    g.add_argument("--kernel-sell-beta", type=float, help="default: --kernel-beta")
+    g.add_argument("--sign-process", choices=("iid", "markov"), default="iid")
+    g.add_argument("--p-buy", type=float, default=0.5)
+    g.add_argument("--flip-prob", type=float, default=0.5)
+    g.add_argument("--noise-sd-bp", type=float, default=5.0)
+    g.add_argument("--alpha", type=float, default=0.0)
+    g.add_argument("--half-spread-bp", type=float, default=30.0)
+    g.add_argument("--rpt-fraction", type=float, default=0.0)
+    g.add_argument("--cancel-rate", type=float, default=0.0)
+    g.add_argument("--correction-rate", type=float, default=0.0)
+    g.add_argument("--out-tape", type=Path, default="tape.csv")
+    g.add_argument("--out-manifest", type=Path, default="manifest.json")
+    g.add_argument("--out-reference", type=Path, default="reference.csv")
+    g.add_argument("--out-context", type=Path, default="context.csv")
 
     i = add("ingest", cmd_ingest, "parse, reconcile and filter a trade tape")
-    i.add_argument("--tape", required=True)
-    i.add_argument("--cap-volumes", dest="cap_volumes", action="store_true")
-    i.add_argument("--reference", help="bond reference CSV (grades for volume caps)")
-    i.add_argument("--out-clean", dest="out_clean")
-    i.add_argument("--out-filter-report", dest="out_filter_report")
+    i.add_argument("--tape", type=Path, required=True)
+    i.add_argument("--cap-volumes", action="store_true")
+    i.add_argument("--reference", type=Path, help="bond reference CSV (grades for volume caps)")
+    i.add_argument("--out-clean", type=Path, default="clean.csv")
+    i.add_argument("--out-filter-report", type=Path, default="filter_report.json")
 
     c = add("classify", cmd_classify, "assign trade signs and flag RPTs")
-    c.add_argument("--clean", required=True)
-    c.add_argument("--out-signed", dest="out_signed")
+    c.add_argument("--clean", type=Path, required=True)
+    c.add_argument("--out-signed", type=Path, default="signed.csv")
 
     s = add("spread", cmd_spread, "estimate spreads and weekly responses")
-    s.add_argument("--signed", required=True)
-    s.add_argument("--delta-t", dest="delta_t", type=float)
-    s.add_argument("--mid-convention", dest="mid_convention", choices=("paper", "corrected"))
-    s.add_argument("--out-observations", dest="out_observations")
-    s.add_argument("--out-weekly", dest="out_weekly")
+    s.add_argument("--signed", type=Path, required=True)
+    s.add_argument("--delta-t", type=_positive(float), default=300.0, help="pair window, seconds")
+    s.add_argument("--mid-convention", choices=MID_CONVENTIONS, default="paper")
+    s.add_argument("--out-observations", type=Path, default="spreads.csv")
+    s.add_argument("--out-weekly", type=Path, default="weekly.csv")
 
     f = add("features", cmd_features, "build the weekly regression design")
-    f.add_argument("--signed", required=True)
-    f.add_argument("--weekly", required=True)
-    f.add_argument("--reference", required=True)
-    f.add_argument("--context", required=True)
-    f.add_argument("--out-features", dest="out_features")
+    f.add_argument("--signed", type=Path, required=True)
+    f.add_argument("--weekly", type=Path, required=True)
+    f.add_argument("--reference", type=Path, required=True)
+    f.add_argument("--context", type=Path, required=True)
+    f.add_argument("--out-features", type=Path, default="features.csv")
 
     t = add("fit", cmd_fit, "fit a cost benchmark with cross-validated penalties")
-    t.add_argument("--features", required=True)
-    t.add_argument("--model", choices=("ols", "ridge", "lasso", "lslasso", "en"))
-    t.add_argument("--lambda-grid", dest="lambda_grid", help="lo:hi:num, log-spaced")
-    t.add_argument("--alpha", help="elastic-net mixing values, comma separated")
-    t.add_argument("--k-folds", dest="k_folds", type=int)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--train-range", dest="train_range", help="ISO weeks lo:hi")
-    t.add_argument("--test-range", dest="test_range", help="ISO weeks lo:hi")
-    t.add_argument("--features-list", dest="features_list", help="comma-separated design columns")
-    t.add_argument("--out-fit", dest="out_fit")
-    t.add_argument("--out-cv", dest="out_cv")
+    t.add_argument("--features", type=Path, required=True)
+    t.add_argument("--model", choices=("ols", "ridge", "lasso", "lslasso", "en"), default="lslasso")
+    t.add_argument("--lambda-grid", type=_lambda_grid, help="lo:hi:num, log-spaced")
+    t.add_argument(
+        "--alpha", type=_float_list, default=DEFAULT_EN_ALPHAS,
+        help="elastic-net mixing values, comma separated",
+    )
+    t.add_argument("--k-folds", type=int, default=10)
+    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--train-range", type=_week_range, help="ISO weeks lo:hi")
+    t.add_argument("--test-range", type=_week_range, help="ISO weeks lo:hi")
+    t.add_argument(
+        "--features-list", type=lambda text: tuple(text.split(",")), default=DESIGN_FEATURES,
+        help="comma-separated design columns",
+    )
+    t.add_argument("--out-fit", type=Path, default="fit.json")
+    t.add_argument("--out-cv", type=Path, default="cv.json")
 
     m = add("impact", cmd_impact, "estimate transient impact kernels and signatures")
-    m.add_argument("--signed", required=True)
-    m.add_argument("--spreads", help="spread observations CSV; mids forward-fill onto events")
-    m.add_argument("--model", choices=("tim1", "tim2", "both"))
-    m.add_argument("--alpha", type=float)
-    m.add_argument("--n-lags", dest="n_lags", type=int)
-    m.add_argument("--l-lags", dest="l_lags", type=int)
-    m.add_argument("--l-max", dest="l_max", type=int)
-    m.add_argument("--top-k", dest="top_k", type=int)
-    m.add_argument("--min-events", dest="min_events", type=int)
-    m.add_argument("--threads", type=int)
-    m.add_argument("--out-kernel", dest="out_kernel")
-    m.add_argument("--out-signature", dest="out_signature")
+    m.add_argument("--signed", type=Path, required=True)
+    m.add_argument("--spreads", type=Path, help="spread observations; mids forward-fill onto events")
+    m.add_argument("--model", choices=("tim1", "tim2", "both"), default="tim1")
+    m.add_argument("--alpha", type=float, default=0.0)
+    m.add_argument("--n-lags", type=_positive(int), default=10)
+    m.add_argument("--l-lags", type=_positive(int), default=10)
+    m.add_argument("--l-max", type=_positive(int), default=10)
+    m.add_argument("--top-k", type=_positive(int), help="only the k most traded bonds")
+    m.add_argument("--min-events", type=int, default=1000)
+    m.add_argument("--threads", type=int, default=1)
+    m.add_argument("--out-kernel", type=Path, default="kernels.json")
+    m.add_argument("--out-signature", type=Path, default="signature.csv")
 
     r = add("report", cmd_report, "summary report with buy/sell asymmetry tests")
-    r.add_argument("--signed", required=True)
-    r.add_argument("--out-report", dest="out_report")
-    r.add_argument("--out-one-sided", dest="out_one_sided")
+    r.add_argument("--signed", type=Path, required=True)
+    r.add_argument("--out-report", type=Path, default="report.json")
+    r.add_argument("--out-one-sided", type=Path)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        file_cfg = _load_config_file(getattr(args, "config", None))
-        args.func(args, file_cfg)
+        args = parser.parse_args(argv)
+        if args.config:
+            # file values go right after the subcommand name, before the
+            # user's flags: argparse keeps the last value it sees
+            at = argv.index(args.command) + 1
+            tokens = _file_tokens(_load_config_file(args.config), args.command, parser.commands)
+            args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        args.func(args)
     except BondTcaError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

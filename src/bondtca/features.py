@@ -46,8 +46,6 @@ DESIGN_FEATURES: tuple[str, ...] = (
     *(f"sector_{s.lower()}" for s in SECTORS),
 )
 
-EXTRA_FEATURES: tuple[str, ...] = ("log_zero_trade_days",)
-
 
 def _add_months(day: dt.date, months: int) -> dt.date:
     month = day.month - 1 + months

@@ -343,22 +343,19 @@ def estimate_cross_correlation(
     return LagSeries(min_lag=lo, values=values)
 
 
-def solve_tim2_system(
+def _tim2_blocks(
     ctilde: Mapping[tuple[int, int], LagSeries],
     resp: Mapping[int, LagSeries],
     g0: Mapping[int, float],
     n_lags: int,
     l_lags: int,
-    cusip: str = "",
-) -> dict[int, ImpactKernel]:
-    """Solve the two-type block system for both kernels.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right-hand side of the two-type block system.
 
     Row blocks are the conditional responses per type, column blocks the
     per-type kernel increments; each block is the Toeplitz-like layout of
     the single-event system built from Ctilde_{pi,pi'}.
     """
-    if l_lags < n_lags:
-        raise DataError("need l_lags >= n_lags")
     big = np.empty((2 * l_lags, 2 * n_lags))
     rhs = np.empty(2 * l_lags)
     for bi, pi in enumerate(EVENT_TYPES):
@@ -368,9 +365,22 @@ def solve_tim2_system(
                 c = ctilde[(pi, pj)]
                 for j in range(1, n_lags + 1):
                     big[row, bj * n_lags + j - 1] = c(l - j)
-            rhs[row] = resp[pi](l) - sum(
-                g0[pj] * ctilde[(pi, pj)](l) for pj in EVENT_TYPES
-            )
+            rhs[row] = resp[pi](l) - sum(g0[pj] * ctilde[(pi, pj)](l) for pj in EVENT_TYPES)
+    return big, rhs
+
+
+def solve_tim2_system(
+    ctilde: Mapping[tuple[int, int], LagSeries],
+    resp: Mapping[int, LagSeries],
+    g0: Mapping[int, float],
+    n_lags: int,
+    l_lags: int,
+    cusip: str = "",
+) -> dict[int, ImpactKernel]:
+    """Solve the two-type block system for both kernels (see ``_tim2_blocks``)."""
+    if l_lags < n_lags:
+        raise DataError("need l_lags >= n_lags")
+    big, rhs = _tim2_blocks(ctilde, resp, g0, n_lags, l_lags)
     cond = float(np.linalg.cond(big))
     if not math.isfinite(cond) or cond > CONDITION_LIMIT:
         raise NumericalError(
@@ -451,16 +461,7 @@ def solve_tim2(
     resp = {pi: estimate_conditional_response(series, pi, l_lags) for pi in EVENT_TYPES}
     g0 = estimate_g0_by_type(series)
 
-    big = np.empty((2 * l_lags, 2 * n_lags))
-    rhs = np.empty(2 * l_lags)
-    for bi, pi in enumerate(EVENT_TYPES):
-        for l in range(1, l_lags + 1):
-            row = bi * l_lags + l - 1
-            for bj, pj in enumerate(EVENT_TYPES):
-                c = ctilde[(pi, pj)]
-                for j in range(1, n_lags + 1):
-                    big[row, bj * n_lags + j - 1] = c(l - j)
-            rhs[row] = resp[pi](l) - sum(g0[pj] * ctilde[(pi, pj)](l) for pj in EVENT_TYPES)
+    big, rhs = _tim2_blocks(ctilde, resp, g0, n_lags, l_lags)
     aug, aug_rhs = _volume_covariance_rows(series, n_lags)
     stacked = np.vstack([big, aug])
     stacked_rhs = np.concatenate([rhs, aug_rhs])
@@ -601,9 +602,6 @@ class PairMoments:
 
     def centered(self, pi: int, pi_prime: int, d: int) -> float:
         return self(pi, pi_prime, d) - self.mu[pi] * self.mu[pi_prime]
-
-    def merged(self, d: int) -> float:
-        return sum(self(pi, pj, d) for pi in EVENT_TYPES for pj in EVENT_TYPES)
 
     def merged_series(self) -> LagSeries:
         total = sum(self.values.values())

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 from .calendars import IsoWeek
 from .classify import SignedTrade
+from .errors import ConfigError
 from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER
 
 log = logging.getLogger(__name__)
@@ -64,7 +65,7 @@ def estimate_spreads(
     non-positive reconstructed mid are dropped and logged.
     """
     if mid_convention not in MID_CONVENTIONS:
-        raise ValueError(f"mid_convention must be one of {MID_CONVENTIONS}")
+        raise ConfigError(f"mid_convention must be one of {MID_CONVENTIONS}")
     sign = -1.0 if mid_convention == "paper" else 1.0
     out: list[SpreadObservation] = []
     for a, b in zip(trades, trades[1:]):

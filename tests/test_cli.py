@@ -116,6 +116,7 @@ class TestPipeline:
         manifest = artifacts.read_json("manifest.json")
         assert manifest["config"]["n_events"] == 1200  # flag wins
         assert manifest["config"]["seed"] == 9  # file beats default
+        assert json.loads(Path("manifest.json").read_text())["meta"]["seed"] == 9
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -125,10 +126,9 @@ class TestPipeline:
         for sub in ("generate", "ingest", "classify", "spread", "features", "fit", "impact", "report"):
             assert sub in out
 
-    def test_unknown_flag_fails_fast(self, workdir):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--bogus-flag", "1"])
-        assert exc.value.code == 2
+    def test_unknown_flag_fails_fast(self, workdir, capsys):
+        assert main(["generate", "--bogus-flag", "1"]) == 2
+        assert read_err(capsys)["error"] == "ConfigError"
 
     def test_impact_with_spread_mids(self, workdir):
         generate(workdir)
@@ -166,6 +166,74 @@ class TestPipeline:
         grades = {r.cusip: r.grade for r in artifacts.read_bond_references("reference.csv").values()}
         caps = {"HY":  1_000_000.0, "IG": 5_000_000.0}
         assert all(t.volume <= caps[grades[t.cusip]] for t in trades)
+        flagged = Path("clean.csv").read_bytes()
+        cfg = {"ingest": {"cap_volumes": True, "reference": "reference.csv"}}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert run(["ingest", "--tape", "tape.csv", "--config", "cfg.json"]) == 0
+        assert Path("clean.csv").read_bytes() == flagged
+
+
+# (subcommand and flags, config file or None): each is refused before any input is read
+BAD_SETTINGS = [
+    (["spread", "--signed", "signed.csv"], {"spread": {"mid_convention": "bogus"}}),
+    (["impact", "--signed", "signed.csv"], {"impact": {"model": "bogus"}}),
+    (["impact", "--signed", "signed.csv"], {"impact": {"n_lags": "ten"}}),
+    (["spread", "--signed", "signed.csv"], {"spread": {"delta_t": "abc"}}),
+    (["spread", "--signed", "signed.csv"], {"spread": {"delta_tt": 5}}),
+    (["spread", "--signed", "signed.csv"], {"sprd": {"delta_t": 5}}),
+    (["spread", "--signed", "signed.csv"], {"delta_tt": 5}),
+    (["ingest", "--tape", "tape.csv"], {"ingest": {"cap_volumes": "yes"}}),
+    (["fit", "--features", "features.csv", "--model", "en", "--alpha", "abc"], None),
+    (["impact", "--signed", "signed.csv", "--n-lags", 0], None),
+    (["impact", "--signed", "signed.csv", "--n-lags", -3], None),
+    (["impact", "--signed", "signed.csv", "--top-k", -1], None),
+    (["impact", "--signed", "signed.csv", "--l-max", -2], None),
+    (["spread", "--signed", "signed.csv", "--delta-t", "nan"], None),
+]
+
+
+@pytest.mark.parametrize("argv, file_cfg", BAD_SETTINGS)
+def test_bad_setting_exit_2(workdir, capsys, argv, file_cfg):
+    # the inputs exist but are empty, so a run that got past the settings
+    # would end in a DataError (exit 3) instead
+    for name in ("tape.csv", "signed.csv", "features.csv"):
+        Path(name).write_text("")
+    if file_cfg is not None:
+        Path("cfg.json").write_text(json.dumps(file_cfg))
+        argv = [*argv, "--config", "cfg.json"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ConfigError"
+
+
+def test_config_hash_covers_effective_settings(workdir):
+    assert run(["generate", "--seed", 3, "--events", 1500]) == 0
+    run(["ingest", "--tape", "tape.csv"])
+    run(["classify", "--clean", "clean.csv"])
+    Path("moved.csv").write_bytes(Path("signed.csv").read_bytes())
+    # a flat key for another subcommand is skipped; the section beats a flat key
+    Path("d60.json").write_text(json.dumps({"seed": 4, "delta_t": 600, "spread": {"delta_t": 60}}))
+    Path("d600.json").write_text(json.dumps({"delta_t": 600}))
+    variants = {
+        "file_60": ["--signed", "signed.csv", "--config", "d60.json"],
+        "flag_60": ["--signed", "signed.csv", "--delta-t", 60],
+        "moved_60": ["--signed", "moved.csv", "--delta-t", 60, "--out-observations", "o.csv"],
+        "file_600": ["--signed", "signed.csv", "--config", "d600.json"],
+        "default": ["--signed", "signed.csv"],
+        "flag_300": ["--signed", "signed.csv", "--delta-t", 300, "--mid-convention", "paper"],
+    }
+    weekly = {}
+    for name, argv in variants.items():
+        assert run(["spread", *argv, "--out-weekly", f"{name}.csv"]) == 0
+        weekly[name] = Path(f"{name}.csv").read_text().split("\n", 1)
+    hashes = {name: json.loads(lines[0][2:])["config_hash"] for name, lines in weekly.items()}
+    assert hashes["file_60"] == hashes["flag_60"] == hashes["moved_60"]
+    assert weekly["file_60"][1] == weekly["flag_60"][1] == weekly["moved_60"][1]
+    assert hashes["default"] == hashes["flag_300"]
+    assert weekly["default"][1] == weekly["flag_300"][1]
+    assert len({hashes["file_60"], hashes["file_600"], hashes["default"]}) == 3
+    assert weekly["file_60"][1] != weekly["file_600"][1]
 
 
 class TestArtifactRoundTrips:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bondtca.calendars import IsoWeek
+from bondtca.errors import ConfigError
 from bondtca.microstructure import (
     aggregate_weekly,
     estimate_spreads,
@@ -53,6 +54,10 @@ class TestEstimateSpreads:
             pair(101.0, 100.0, "customer_buy", "customer_sell"), mid_convention="corrected"
         )
         assert obs2[0].mid == pytest.approx(100.5)
+
+    def test_unknown_mid_convention_is_config_error(self):
+        with pytest.raises(ConfigError):
+            estimate_spreads(pair(100.0, 101.0, "customer_sell", "customer_buy"), mid_convention="x")
 
     def test_same_sign_pair_skipped(self):
         assert estimate_spreads(pair(100.0, 101.0, "customer_buy", "customer_buy")) == []
