@@ -327,28 +327,6 @@ def write_signature(path, lags, d_emp, d_model, meta=None) -> None:
     )
 
 
-STATIONARITY_HEADER = ("period_pair", "anova_F", "anova_p", "H", "H_p")
-
-
-def write_stationarity(path, results, meta=None) -> None:
-    rows = []
-    for r in results:
-        pair = f"{r.period_a}~{r.period_b}"
-        if r.anova is None:
-            rows.append((pair, "", "", "", ""))
-        else:
-            rows.append(
-                (
-                    pair,
-                    repr(r.anova.statistic),
-                    repr(r.anova.p_value),
-                    repr(r.kruskal.statistic),
-                    repr(r.kruskal.p_value),
-                )
-            )
-    write_csv(path, STATIONARITY_HEADER, rows, meta)
-
-
 def write_one_sided(path, rows: Iterable[OneSidedSpread], meta=None) -> None:
     write_csv(
         path,

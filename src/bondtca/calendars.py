@@ -10,7 +10,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -68,14 +68,6 @@ class BusinessCalendar:
 
     def is_business_day(self, day: dt.date) -> bool:
         return day.weekday() < 5 and day not in self.holidays
-
-    def business_days(self, start: dt.date, stop: dt.date) -> Iterator[dt.date]:
-        """Business days in [start, stop)."""
-        day = start
-        while day < stop:
-            if self.is_business_day(day):
-                yield day
-            day += dt.timedelta(days=1)
 
     def business_days_in_week(self, week: IsoWeek) -> int:
         monday = week.monday()

@@ -22,9 +22,6 @@ class SizeRun:
     stop: int  # one past the last trade index
     volume: float
 
-    def __len__(self) -> int:
-        return self.stop - self.start
-
 
 @dataclass(slots=True)
 class SignedTrade:

@@ -32,7 +32,7 @@ from .impact import (
 )
 from .ingest import cap_volumes, group_by_cusip, ingest_reports, parse_trace_csv
 from .microstructure import (
-    MID_CONVENTIONS, aggregate_weekly, estimate_spreads, one_sided_spreads_by_day,
+    MID_CONVENTIONS, aggregate_weekly, estimate_spreads, one_sided_spreads_by_day, used_trades,
 )
 from .regress import (
     DEFAULT_EN_ALPHAS, DEFAULT_LASSO_GRID, DEFAULT_RIDGE_GRID, Dataset, GridPoint, fit_ols,
@@ -52,24 +52,33 @@ class BondTcaParser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _positive(cast):
-    """argparse type: a finite number above zero, read with ``cast``."""
+def _number(kind: str, cast=float, ok=lambda value: True):
+    """argparse type: a finite number read with ``cast`` for which ``ok`` holds."""
 
     def parse(text: str):
         value = cast(text)
-        if not (math.isfinite(value) and value > 0):
+        if not (math.isfinite(value) and ok(value)):
             raise ValueError(text)
         return value
 
-    parse.__name__ = f"positive {cast.__name__}"  # argparse: "invalid positive int value"
+    parse.__name__ = f"{kind} {cast.__name__}"  # argparse: "invalid positive int value"
     return parse
 
 
-def _float_list(text: str) -> list[float]:
+_FINITE = _number("finite")
+_NON_NEGATIVE = _number("non-negative", float, lambda v: v >= 0)
+_POSITIVE_FLOAT = _number("positive", float, lambda v: v > 0)
+_POSITIVE_INT = _number("positive", int, lambda v: v > 0)
+
+
+def _mixing_list(text: str) -> list[float]:
     try:
-        return [float(a) for a in text.split(",")]
+        values = [float(a) for a in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise argparse.ArgumentTypeError(f"mixing values must lie in [0, 1], got {text!r}")
+    return values
 
 
 def _load_config_file(path: Path) -> dict:
@@ -212,7 +221,7 @@ def cmd_spread(args) -> None:
     used = 0
     for cusip in sorted(grouped):
         bond_obs = estimate_spreads(grouped[cusip], args.delta_t, args.mid_convention)
-        used += len({k for o in bond_obs for k in (o.k - 1, o.k)})
+        used += used_trades(bond_obs)
         obs.extend(bond_obs)
     weekly = aggregate_weekly(obs)
     artifacts.write_spread_observations(args.out_observations, obs, _meta(args))
@@ -248,9 +257,12 @@ def _week_range(text: str) -> tuple[IsoWeek, IsoWeek]:
 def _lambda_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, num = text.split(":")
-        return tuple(np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(num)))
+        lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:num, got {text!r}") from None
+    if not (0 < lo <= hi < math.inf and num >= 1):
+        raise argparse.ArgumentTypeError(f"need finite 0 < lo <= hi and num >= 1, got {text!r}")
+    return tuple(np.logspace(np.log10(lo), np.log10(hi), num))
 
 
 def _grid_for(args) -> list[GridPoint]:
@@ -482,20 +494,20 @@ def build_parser() -> BondTcaParser:
     g.add_argument(
         "--kernel-family", choices=("exponential", "power_law", "constant"), default="exponential"
     )
-    g.add_argument("--kernel-g0", type=float, default=25.0)
-    g.add_argument("--kernel-beta", type=float, default=0.4)
-    g.add_argument("--kernel-gamma", type=float, default=1.0)
-    g.add_argument("--kernel-sell-g0", type=float, help="default: the buy kernel")
-    g.add_argument("--kernel-sell-beta", type=float, help="default: --kernel-beta")
+    g.add_argument("--kernel-g0", type=_FINITE, default=25.0)
+    g.add_argument("--kernel-beta", type=_FINITE, default=0.4)
+    g.add_argument("--kernel-gamma", type=_FINITE, default=1.0)
+    g.add_argument("--kernel-sell-g0", type=_FINITE, help="default: the buy kernel")
+    g.add_argument("--kernel-sell-beta", type=_FINITE, help="default: --kernel-beta")
     g.add_argument("--sign-process", choices=("iid", "markov"), default="iid")
-    g.add_argument("--p-buy", type=float, default=0.5)
-    g.add_argument("--flip-prob", type=float, default=0.5)
-    g.add_argument("--noise-sd-bp", type=float, default=5.0)
-    g.add_argument("--alpha", type=float, default=0.0)
-    g.add_argument("--half-spread-bp", type=float, default=30.0)
-    g.add_argument("--rpt-fraction", type=float, default=0.0)
-    g.add_argument("--cancel-rate", type=float, default=0.0)
-    g.add_argument("--correction-rate", type=float, default=0.0)
+    g.add_argument("--p-buy", type=_FINITE, default=0.5)
+    g.add_argument("--flip-prob", type=_FINITE, default=0.5)
+    g.add_argument("--noise-sd-bp", type=_FINITE, default=5.0)
+    g.add_argument("--alpha", type=_FINITE, default=0.0)
+    g.add_argument("--half-spread-bp", type=_FINITE, default=30.0)
+    g.add_argument("--rpt-fraction", type=_FINITE, default=0.0)
+    g.add_argument("--cancel-rate", type=_FINITE, default=0.0)
+    g.add_argument("--correction-rate", type=_FINITE, default=0.0)
     g.add_argument("--out-tape", type=Path, default="tape.csv")
     g.add_argument("--out-manifest", type=Path, default="manifest.json")
     g.add_argument("--out-reference", type=Path, default="reference.csv")
@@ -514,7 +526,7 @@ def build_parser() -> BondTcaParser:
 
     s = add("spread", cmd_spread, "estimate spreads and weekly responses")
     s.add_argument("--signed", type=Path, required=True)
-    s.add_argument("--delta-t", type=_positive(float), default=300.0, help="pair window, seconds")
+    s.add_argument("--delta-t", type=_POSITIVE_FLOAT, default=300.0, help="pair window, seconds")
     s.add_argument("--mid-convention", choices=MID_CONVENTIONS, default="paper")
     s.add_argument("--out-observations", type=Path, default="spreads.csv")
     s.add_argument("--out-weekly", type=Path, default="weekly.csv")
@@ -531,7 +543,7 @@ def build_parser() -> BondTcaParser:
     t.add_argument("--model", choices=("ols", "ridge", "lasso", "lslasso", "en"), default="lslasso")
     t.add_argument("--lambda-grid", type=_lambda_grid, help="lo:hi:num, log-spaced")
     t.add_argument(
-        "--alpha", type=_float_list, default=DEFAULT_EN_ALPHAS,
+        "--alpha", type=_mixing_list, default=DEFAULT_EN_ALPHAS,
         help="elastic-net mixing values, comma separated",
     )
     t.add_argument("--k-folds", type=int, default=10)
@@ -549,11 +561,11 @@ def build_parser() -> BondTcaParser:
     m.add_argument("--signed", type=Path, required=True)
     m.add_argument("--spreads", type=Path, help="spread observations; mids forward-fill onto events")
     m.add_argument("--model", choices=("tim1", "tim2", "both"), default="tim1")
-    m.add_argument("--alpha", type=float, default=0.0)
-    m.add_argument("--n-lags", type=_positive(int), default=10)
-    m.add_argument("--l-lags", type=_positive(int), default=10)
-    m.add_argument("--l-max", type=_positive(int), default=10)
-    m.add_argument("--top-k", type=_positive(int), help="only the k most traded bonds")
+    m.add_argument("--alpha", type=_NON_NEGATIVE, default=0.0)
+    m.add_argument("--n-lags", type=_POSITIVE_INT, default=10)
+    m.add_argument("--l-lags", type=_POSITIVE_INT, default=10)
+    m.add_argument("--l-max", type=_POSITIVE_INT, default=10)
+    m.add_argument("--top-k", type=_POSITIVE_INT, help="only the k most traded bonds")
     m.add_argument("--min-events", type=int, default=1000)
     m.add_argument("--threads", type=int, default=1)
     m.add_argument("--out-kernel", type=Path, default="kernels.json")
@@ -579,11 +591,17 @@ def main(argv: list[str] | None = None) -> int:
             tokens = _file_tokens(_load_config_file(args.config), args.command, parser.commands)
             args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         args.func(args)
+    except OSError as exc:  # a path that cannot be read or written
+        return _report_error(ConfigError(f"cannot access {exc.filename}: {exc.strerror}"))
     except BondTcaError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return exc.exit_code
+        return _report_error(exc)
     return 0
+
+
+def _report_error(exc: BondTcaError) -> int:
+    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return exc.exit_code
 
 
 if __name__ == "__main__":

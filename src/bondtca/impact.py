@@ -56,10 +56,12 @@ class SignSeries:
             raise DataError("sign series arrays must share one length")
         if np.any(self.epsilon == 0):
             raise DataError("zero-sign events must be excluded upstream")
-        if np.any(self.volume <= 0):
-            raise DataError("volumes must be positive")
-        if self.alpha < 0:
-            raise DataError("power index must be >= 0")
+        if not np.all(np.isfinite(self.volume) & (self.volume > 0)):
+            raise DataError("volumes must be positive and finite")
+        if not np.all(np.isfinite(self.mid)):
+            raise DataError("mid-prices must be finite")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise DataError("power index must be finite and >= 0")
 
     @property
     def t(self) -> int:
@@ -124,10 +126,6 @@ class LagSeries:
         if idx < 0 or idx >= len(self.values):
             raise DataError(f"lag {lag} outside estimated range")
         return float(self.values[idx])
-
-    @property
-    def max_lag(self) -> int:
-        return self.min_lag + len(self.values) - 1
 
     @classmethod
     def from_mapping(cls, values: Mapping[int, float]) -> "LagSeries":

@@ -11,6 +11,7 @@ import csv
 import datetime as dt
 import io
 import logging
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -250,8 +251,16 @@ def parse_trace_csv(
             volume = float(volume_text)
         except ValueError:
             raise ParseError(f"bad volume {volume_text!r}", row=row_no, column="volume")
+        if not math.isfinite(price):
+            raise ParseError(f"non-finite price {price_text!r}", row=row_no, column="price")
+        if not math.isfinite(volume):
+            raise ParseError(f"non-finite volume {volume_text!r}", row=row_no, column="volume")
         if kind == TRADE and price <= 0:
             raise ParseError(f"non-positive price {price!r} on trade", row=row_no, column="price")
+        if kind == TRADE and volume <= 0:
+            raise ParseError(
+                f"non-positive volume {volume!r} on trade", row=row_no, column="volume"
+            )
 
         if kind == TRADE:
             if references:

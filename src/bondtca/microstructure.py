@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .calendars import IsoWeek
 from .classify import SignedTrade
 from .errors import ConfigError
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER
+from .ingest import CUSTOMER_BUY, DEALER_DEALER
 
 log = logging.getLogger(__name__)
 
@@ -91,15 +91,9 @@ def estimate_spreads(
     return out
 
 
-def used_trade_fraction(n_trades: int, observations: Sequence[SpreadObservation]) -> float:
-    """Fraction of the bond's trades participating in any spread pair."""
-    if n_trades == 0:
-        return 0.0
-    used: set[int] = set()
-    for obs in observations:
-        used.add(obs.k)
-        used.add(obs.k - 1)
-    return len(used) / n_trades
+def used_trades(observations: Iterable[SpreadObservation]) -> int:
+    """Number of one bond's trades that take part in any spread pair."""
+    return len({k for o in observations for k in (o.k - 1, o.k)})
 
 
 def aggregate_weekly(obs: Iterable[SpreadObservation]) -> list[WeeklySpread]:
@@ -115,71 +109,19 @@ def aggregate_weekly(obs: Iterable[SpreadObservation]) -> list[WeeklySpread]:
     ]
 
 
-def reference_price(
-    trades: Sequence[SignedTrade],
-    min_volume: float = 100_000.0,
-    exclusion_minutes: float = 15.0,
-) -> float | None:
-    """Inter-dealer VWAP reference for one bond-day.
-
-    Only dealer-dealer trades with volume strictly above ``min_volume``
-    qualify; those within ``exclusion_minutes`` of any customer trade of the
-    day are excluded (the union-window form of the per-trade exclusion).
-    Returns None when no trade qualifies.
-    """
-    window = dt.timedelta(minutes=exclusion_minutes)
-    customer_times = [t.timestamp for t in trades if t.leg != DEALER_DEALER]
-
-    def excluded(ts: dt.datetime) -> bool:
-        return any(abs(ts - ct) <= window for ct in customer_times)
-
-    pv = 0.0
-    v = 0.0
-    for t in trades:
-        if t.leg != DEALER_DEALER or t.volume <= min_volume:
-            continue
-        if excluded(t.timestamp):
-            continue
-        pv += t.price * t.volume
-        v += t.volume
-    return pv / v if v > 0 else None
-
-
-def one_sided_spreads(
-    trades: Sequence[SignedTrade], ref: float, day: dt.date | None = None
-) -> OneSidedSpread:
-    """Volume-weighted one-sided buy/sell spreads against a reference price."""
-    buy_pv = buy_v = sell_pv = sell_v = 0.0
-    for t in trades:
-        if t.leg == CUSTOMER_BUY:
-            buy_pv += (t.price - ref) / ref * t.volume
-            buy_v += t.volume
-        elif t.leg == CUSTOMER_SELL:
-            sell_pv += (ref - t.price) / ref * t.volume
-            sell_v += t.volume
-    cusip = trades[0].cusip if trades else ""
-    if day is None and trades:
-        day = trades[0].timestamp.date()
-    return OneSidedSpread(
-        cusip=cusip,
-        day=day,  # type: ignore[arg-type]
-        spread_buy=buy_pv / buy_v if buy_v > 0 else None,
-        spread_sell=sell_pv / sell_v if sell_v > 0 else None,
-        reference_price=ref,
-    )
-
-
 def one_sided_spreads_by_day(
     trades: Iterable[SignedTrade],
     min_volume: float = 100_000.0,
     exclusion_minutes: float = 15.0,
 ) -> list[OneSidedSpread]:
-    """Bond-day one-sided spreads with per-trade reference prices.
+    """Bond-day one-sided spreads against an inter-dealer VWAP reference.
 
+    Dealer-dealer trades with volume strictly above ``min_volume`` qualify.
     Each customer trade is marked against the VWAP of the day's qualifying
-    inter-dealer trades, excluding those within the window of that trade
-    (the per-trade form of the exclusion); the bond-day figure is the
-    volume-weighted average of the trade-level spreads.
+    trades more than ``exclusion_minutes`` away from it, and is skipped when
+    there are none; the bond-day figure is the volume-weighted average of the
+    trade-level spreads, and ``reference_price`` is the reference of the
+    day's last marked trade. A day with no marked trade gives no row.
     """
     window = dt.timedelta(minutes=exclusion_minutes)
     by_day: dict[tuple[str, dt.date], list[SignedTrade]] = {}

@@ -1,10 +1,7 @@
 """Statistical tests: one-way ANOVA, Kruskal-Wallis H, two-sample KS, Welch t.
 
 Distribution tails come from the regularized incomplete gamma / beta
-functions; ranks use mid-ranks with the standard tie correction. The
-period-pair harness runs ANOVA and Kruskal-Wallis on every adjacent pair of
-periods of a (bond, period, value) panel, which is how stationarity of a
-spread-ratio statistic is screened.
+functions; ranks use mid-ranks with the standard tie correction.
 """
 
 from __future__ import annotations
@@ -154,39 +151,3 @@ def welch_t(x: Sequence[float], y: Sequence[float]) -> TestResult:
     df = se2**2 / ((vx / m) ** 2 / (m - 1) + (vy / n) ** 2 / (n - 1))
     p = 2.0 * t_sf(abs(t), df)
     return TestResult(t, p, (df,), (m, n))
-
-
-@dataclass(slots=True)
-class PeriodPairResult:
-    period_a: object
-    period_b: object
-    anova: TestResult | None
-    kruskal: TestResult | None
-    note: str = ""
-
-
-def stationarity_by_period(
-    series: Iterable[tuple[object, object, float]],
-) -> list[PeriodPairResult]:
-    """ANOVA + Kruskal-Wallis on each adjacent pair of periods.
-
-    ``series`` holds (bond, period, value) triples; periods compare by their
-    natural order. Pairs where either period has fewer than two values are
-    skipped with a note.
-    """
-    by_period: dict[object, list[float]] = {}
-    for _, period, value in series:
-        by_period.setdefault(period, []).append(float(value))
-    periods = sorted(by_period)
-    if len(periods) < 2:
-        raise DataError("stationarity screen needs at least two periods")
-    out: list[PeriodPairResult] = []
-    for a, b in zip(periods, periods[1:]):
-        ga, gb = by_period[a], by_period[b]
-        if len(ga) < 2 or len(gb) < 2:
-            out.append(
-                PeriodPairResult(a, b, None, None, note="skipped: fewer than 2 observations")
-            )
-            continue
-        out.append(PeriodPairResult(a, b, anova_f([ga, gb]), kruskal_h([ga, gb])))
-    return out

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import datetime as dt
 import io
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in KERNEL_FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}")
+        if not all(math.isfinite(v) for v in (self.g0, self.beta, self.gamma)):
+            raise ConfigError("kernel parameters must be finite")
         if self.g0 < 0:
             raise ConfigError("kernel g0 must be >= 0")
 
@@ -106,6 +109,10 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n_events < 1 or self.n_bonds < 1:
             raise ConfigError("need at least one event and one bond")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("noise_sd_bp", "half_spread_bp"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -171,6 +178,23 @@ class SynthManifest:
         }
 
 
+def _manifest_with_truth(config: SynthConfig) -> SynthManifest:
+    """A manifest holding the true kernels and sign correlations of ``config``."""
+    lags = config.kernel_table_lags
+    return SynthManifest(
+        config=config,
+        truth_kernels={
+            f"{pi:+d}": [float(v) for v in config.kernel_for(pi).values(lags + 1)]
+            for pi in (1, -1)
+        },
+        analytic_correlation={
+            str(n): c
+            for n in range(-lags, lags + 1)
+            if (c := config.sign.analytic_correlation(n)) is not None
+        },
+    )
+
+
 def _bond_rng(config: SynthConfig, bond_index: int, concern: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(bond_index, concern))
     return np.random.Generator(np.random.Philox(ss))
@@ -221,20 +245,10 @@ def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignS
         alpha=config.alpha,
         mid_source="mids",
     )
-    manifest = SynthManifest(config=config)
+    manifest = _manifest_with_truth(config)
     manifest.events_per_type = {
         "+1": int((eps == 1).sum()),
         "-1": int((eps == -1).sum()),
-    }
-    lags = config.kernel_table_lags
-    manifest.truth_kernels = {
-        "+1": [float(v) for v in config.kernel_for(1).values(lags + 1)],
-        "-1": [float(v) for v in config.kernel_for(-1).values(lags + 1)],
-    }
-    manifest.analytic_correlation = {
-        str(n): c
-        for n in range(-lags, lags + 1)
-        if (c := config.sign.analytic_correlation(n)) is not None
     }
     return series, manifest
 
@@ -470,17 +484,7 @@ def generate_trace_fixture(
 ) -> tuple[bytes, SynthManifest]:
     """Render the synthetic market as a trade-tape CSV plus its manifest."""
     calendar = calendar or BusinessCalendar()
-    manifest = SynthManifest(config=config)
-    lags = config.kernel_table_lags
-    manifest.truth_kernels = {
-        "+1": [float(v) for v in config.kernel_for(1).values(lags + 1)],
-        "-1": [float(v) for v in config.kernel_for(-1).values(lags + 1)],
-    }
-    manifest.analytic_correlation = {
-        str(n): c
-        for n in range(-lags, lags + 1)
-        if (c := config.sign.analytic_correlation(n)) is not None
-    }
+    manifest = _manifest_with_truth(config)
     manifest.filter_violations = {str(k): int(v) for k, v in config.filter_violations.items()}
     manifest.grades = {
         _bond_cusip(i): ("IG" if i % 2 == 0 else "HY") for i in range(config.n_bonds)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -189,6 +190,17 @@ BAD_SETTINGS = [
     (["impact", "--signed", "signed.csv", "--top-k", -1], None),
     (["impact", "--signed", "signed.csv", "--l-max", -2], None),
     (["spread", "--signed", "signed.csv", "--delta-t", "nan"], None),
+    (["impact", "--signed", "signed.csv", "--alpha", "nan"], None),
+    (["impact", "--signed", "signed.csv", "--alpha", -1], None),
+    (["generate", "--events", 300, "--kernel-g0", "nan"], None),
+    (["generate", "--events", 300, "--noise-sd-bp", "inf"], None),
+    (["generate", "--events", 300], {"generate": {"kernel_sell_beta": "-inf"}}),
+    (["fit", "--features", "features.csv", "--lambda-grid=-1:10:5"], None),
+    (["fit", "--features", "features.csv", "--lambda-grid", "nan:1:3"], None),
+    (["fit", "--features", "features.csv", "--lambda-grid", "1:0.1:3"], None),
+    (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:0"], None),
+    (["fit", "--features", "features.csv", "--model", "en", "--alpha", "0.5,1.5"], None),
+    (["fit", "--features", "features.csv", "--model", "en", "--alpha", "nan"], None),
 ]
 
 
@@ -205,6 +217,33 @@ def test_bad_setting_exit_2(workdir, capsys, argv, file_cfg):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "flag, path", [("--out-tape", "no_such_dir/tape.csv"), ("--out-manifest", ".")]
+)
+def test_unwritable_output_exit_2(workdir, capsys, flag, path):
+    assert run(["generate", "--events", 300, flag, path]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ConfigError"
+    assert path in error["message"]
+
+
+def test_benchmark_tracer_layer_names_are_bound():
+    # perfbench/traced_stage.py wraps these by name; install() is not called
+    # here because it patches the modules for the whole process
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage.py"
+    spec = importlib.util.spec_from_file_location("traced_stage", path)
+    traced_stage = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_stage)
+    from bondtca import cli, classify, impact
+
+    assert [name for name in traced_stage.CLI_SPANS if not hasattr(cli, name)] == []
+    assert hasattr(classify, "group_by_cusip")
+    assert hasattr(artifacts, "read_signed_trades")
+    assert hasattr(impact.SignSeries, "from_signed_trades")
 
 
 def test_config_hash_covers_effective_settings(workdir):

@@ -40,6 +40,16 @@ def series_from(eps, mid, volume=None, alpha=0.0):
     )
 
 
+@pytest.mark.parametrize(
+    "volume, mid, alpha",
+    [([1.0, math.nan], [0.0, 1.0], 0.0), ([1.0, 1.0], [0.0, math.inf], 0.0),
+     ([1.0, 1.0], [0.0, 1.0], math.nan), ([1.0, 1.0], [0.0, 1.0], -1.0)],
+)
+def test_sign_series_rejects_non_finite(volume, mid, alpha):
+    with pytest.raises(DataError):
+        series_from([1, -1], mid, volume=volume, alpha=alpha)
+
+
 def delta_series(c0=1.0, lo=-15, hi=25):
     return LagSeries.from_mapping({n: (c0 if n == 0 else 0.0) for n in range(lo, hi + 1)})
 

@@ -34,6 +34,26 @@ class TestParse:
         assert exc.value.row == 2
         assert exc.value.column == "price"
 
+    @pytest.mark.parametrize(
+        "field, text, kind",
+        [
+            ("price", "inf", "trade"),
+            ("price", "nan", "trade"),
+            ("price", "nan", "cancel"),
+            ("volume", "-inf", "cancel"),
+            ("volume", "nan", "trade"),
+            ("volume", "-5000.0", "trade"),
+            ("volume", "0.0", "trade"),
+        ],
+    )
+    def test_bad_price_or_volume_names_row_and_column(self, field, text, kind):
+        bad = trade_row("B", kind=kind, references="" if kind == "trade" else "A")
+        bad = bad.replace("100.0" if field == "price" else "50000.0", text)
+        with pytest.raises(ParseError) as exc:
+            parse_trace_csv(tape_csv([trade_row("A"), bad]))
+        assert exc.value.row == 3
+        assert exc.value.column == field
+
     def test_unknown_report_kind(self):
         with pytest.raises(ParseError) as exc:
             parse_trace_csv(tape_csv([trade_row("A", kind="bogus", references="A")]))

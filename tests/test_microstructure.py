@@ -8,10 +8,8 @@ from bondtca.errors import ConfigError
 from bondtca.microstructure import (
     aggregate_weekly,
     estimate_spreads,
-    one_sided_spreads,
     one_sided_spreads_by_day,
-    reference_price,
-    used_trade_fraction,
+    used_trades,
 )
 
 from conftest import make_signed, ts
@@ -107,7 +105,7 @@ class TestEstimateSpreads:
         ]
         obs = estimate_spreads(trades)
         assert [o.k for o in obs] == [1]
-        assert used_trade_fraction(len(trades), obs) == pytest.approx(0.5)
+        assert used_trades(obs) == 2  # half of the four trades
 
     @given(scale=st.floats(0.1, 50.0))
     def test_bp_spread_scale_invariant(self, scale):
@@ -155,55 +153,116 @@ class TestWeekly:
         assert IsoWeek.parse(w.label) == w
 
 
+def dealer(seconds, price, volume=200_000.0):
+    return make_signed(leg="dealer_dealer", price=price, volume=volume, timestamp=ts(seconds))
+
+
+def customer(seconds, leg, price, volume=100.0):
+    return make_signed(leg=leg, price=price, volume=volume, timestamp=ts(seconds))
+
+
+# (trades of one bond-day, expected rows as (spread_buy, spread_sell, reference_price))
+ONE_SIDED_CASES = {
+    "volume_weighting": (
+        [
+            dealer(-3600, 99.0),
+            customer(0, "customer_buy", 101.0, volume=300.0),
+            customer(60, "customer_buy", 100.0, volume=100.0),
+            dealer(3600, 101.0),
+        ],
+        [(0.01 * 0.75, None, 100.0)],
+    ),
+    "sell_only_day": (
+        [customer(0, "customer_sell", 99.0), dealer(3600, 100.0)],
+        [(None, 0.01, 100.0)],
+    ),
+    "buy_at_reference": (
+        [customer(0, "customer_buy", 100.0), dealer(3600, 100.0)],
+        [(0.0, None, 100.0)],
+    ),
+    "dealer_at_100k_never_reference": (
+        [
+            customer(0, "customer_buy", 101.0),
+            dealer(3600, 90.0, volume=100_000.0),
+            dealer(7200, 100.0),
+        ],
+        [(0.01, None, 100.0)],
+    ),
+    # 900 s from the buy, so out of its reference; 3,600 s from the sell, so in
+    "dealer_at_15_min_excluded_for_that_trade_only": (
+        [
+            customer(0, "customer_buy", 101.0),
+            dealer(900, 104.0),
+            customer(4500, "customer_sell", 101.0),
+            dealer(7200, 100.0),
+        ],
+        [(0.01, 1.0 / 102.0, 102.0)],
+    ),
+    "customer_with_every_dealer_in_window_skipped": (
+        [
+            customer(0, "customer_buy", 101.0),
+            dealer(600, 100.0),
+            customer(7200, "customer_sell", 99.0),
+        ],
+        [(None, 0.01, 100.0)],
+    ),
+    "no_qualifying_dealer_no_row": (
+        [customer(0, "customer_buy", 101.0), dealer(3600, 100.0, volume=50_000.0)],
+        [],
+    ),
+    "no_marked_customer_no_row": (
+        [customer(0, "customer_buy", 101.0), dealer(600, 100.0)],
+        [],
+    ),
+}
+
+
 class TestReferencePrice:
     def test_vwap(self):
         trades = [
-            make_signed(k=0, leg="dealer_dealer", price=100.0, volume=200_000.0),
-            make_signed(k=1, leg="dealer_dealer", price=102.0, volume=200_000.0, timestamp=ts(3600)),
+            dealer(-3600, 100.0),
+            customer(0, "customer_buy", 101.0),
+            dealer(3600, 102.0),
         ]
-        assert reference_price(trades) == pytest.approx(101.0)
-
-    def test_small_volume_excluded(self):
-        trades = [make_signed(k=0, leg="dealer_dealer", price=100.0, volume=50_000.0)]
-        assert reference_price(trades) is None
+        [day] = one_sided_spreads_by_day(trades)
+        assert day.reference_price == pytest.approx(101.0)
 
     def test_single_qualifying(self):
-        trades = [make_signed(k=0, leg="dealer_dealer", price=99.0, volume=200_000.0)]
-        assert reference_price(trades) == pytest.approx(99.0)
-
-    def test_exclusion_window_around_customer_trades(self):
-        trades = [
-            make_signed(k=0, leg="customer_buy", price=101.0, timestamp=ts(0)),
-            make_signed(k=1, leg="dealer_dealer", price=100.0, volume=200_000.0, timestamp=ts(600)),
-            make_signed(k=2, leg="dealer_dealer", price=104.0, volume=200_000.0, timestamp=ts(7200)),
-        ]
-        # the 10-minute-away dealer trade is inside the 15-minute union window
-        assert reference_price(trades) == pytest.approx(104.0)
+        trades = [customer(0, "customer_buy", 100.0), dealer(3600, 99.0)]
+        [day] = one_sided_spreads_by_day(trades)
+        assert day.reference_price == pytest.approx(99.0)
 
 
 class TestOneSided:
     def test_buy_spread(self):
-        trades = [make_signed(k=0, leg="customer_buy", price=101.0, volume=100.0)]
-        s = one_sided_spreads(trades, ref=100.0)
-        assert s.spread_buy == pytest.approx(0.01)
-        assert s.spread_sell is None
-
-    def test_sell_spread(self):
-        trades = [make_signed(k=0, leg="customer_sell", price=99.0, volume=100.0)]
-        s = one_sided_spreads(trades, ref=100.0)
-        assert s.spread_sell == pytest.approx(0.01)
+        [day] = one_sided_spreads_by_day([customer(0, "customer_buy", 101.0), dealer(3600, 100.0)])
+        assert day.spread_buy == pytest.approx(0.01)
+        assert day.spread_sell is None
 
     def test_buy_at_reference_is_zero(self):
-        trades = [make_signed(k=0, leg="customer_buy", price=100.0)]
-        assert one_sided_spreads(trades, ref=100.0).spread_buy == 0.0
+        [day] = one_sided_spreads_by_day([customer(0, "customer_buy", 100.0), dealer(3600, 100.0)])
+        assert day.spread_buy == 0.0
 
     def test_volume_weighting(self):
         trades = [
-            make_signed(k=0, leg="customer_buy", price=101.0, volume=300.0),
-            make_signed(k=1, leg="customer_buy", price=100.0, volume=100.0),
+            customer(0, "customer_buy", 101.0, volume=300.0),
+            customer(60, "customer_buy", 100.0, volume=100.0),
+            dealer(3600, 100.0),
         ]
-        s = one_sided_spreads(trades, ref=100.0)
-        assert s.spread_buy == pytest.approx(0.01 * 0.75)
+        [day] = one_sided_spreads_by_day(trades)
+        assert day.spread_buy == pytest.approx(0.01 * 0.75)
+
+    @pytest.mark.parametrize("trades, expected", ONE_SIDED_CASES.values(), ids=ONE_SIDED_CASES)
+    def test_by_day(self, trades, expected):
+        rows = one_sided_spreads_by_day(trades)
+        assert [(r.cusip, r.day) for r in rows] == [("TESTCUSIP", ts(0).date())] * len(expected)
+        for row, want in zip(rows, expected):
+            got = (row.spread_buy, row.spread_sell, row.reference_price)
+            for value, expect in zip(got, want):
+                if expect is None:
+                    assert value is None
+                else:
+                    assert value == pytest.approx(expect, rel=1e-12, abs=0.0)
 
     def test_by_day_per_trade_reference(self):
         trades = [

@@ -11,7 +11,6 @@ from bondtca.stats import (
     f_sf,
     kruskal_h,
     ks_two_sample,
-    stationarity_by_period,
     welch_t,
 )
 
@@ -180,41 +179,20 @@ class TestDistributionTails:
 
 
 class TestStationarity:
+    """The paper screens a statistic's stationarity with both tests on two periods."""
+
     def test_identical_periods(self):
-        triples = [("B1", 1, 1.0), ("B2", 1, 2.0), ("B1", 2, 1.0), ("B2", 2, 2.0)]
-        [res] = stationarity_by_period(triples)
-        assert res.anova.p_value > 0.9 or res.anova.degenerate
-        assert res.kruskal.statistic == pytest.approx(0.0, abs=1e-9)
+        period = [1.0, 2.0]
+        anova, kruskal = anova_f([period, period]), kruskal_h([period, period])
+        assert anova.statistic == pytest.approx(0.0, abs=1e-12)
+        assert anova.p_value == pytest.approx(1.0)
+        assert kruskal.statistic == pytest.approx(0.0, abs=1e-9)
 
     def test_large_shift_detected(self):
         rng = np.random.default_rng(6)
-        triples = [("B", 1, float(v)) for v in rng.normal(size=50)]
-        triples += [("B", 2, float(v)) for v in rng.normal(loc=25.0, size=50)]
-        [res] = stationarity_by_period(triples)
-        assert res.anova.p_value < 1e-6
-        assert res.kruskal.p_value < 1e-6
-
-    def test_three_periods_two_rows(self):
-        triples = [("B", p, float(v)) for p in (1, 2, 3) for v in (1.0, 2.0, 3.0)]
-        rows = stationarity_by_period(triples)
-        assert [(r.period_a, r.period_b) for r in rows] == [(1, 2), (2, 3)]
-
-    def test_small_period_skipped_with_note(self):
-        triples = [("B", 1, 1.0), ("B", 2, 1.0), ("B", 2, 2.0), ("B", 2, 3.0)]
-        [res] = stationarity_by_period(triples)
-        assert res.anova is None
-        assert "skipped" in res.note
-
-    def test_report_csv_shape(self, tmp_path):
-        from bondtca.artifacts import write_stationarity
-
-        triples = [("B", p, float(v + p)) for p in (1, 2) for v in (1.0, 2.0, 3.0)]
-        results = stationarity_by_period(triples)
-        out = tmp_path / "stationarity.csv"
-        write_stationarity(out, results)
-        lines = out.read_text().splitlines()
-        assert lines[1] == "period_pair,anova_F,anova_p,H,H_p"
-        assert lines[2].startswith("1~2,")
+        periods = [rng.normal(size=50), rng.normal(loc=25.0, size=50)]
+        assert anova_f(periods).p_value < 1e-6
+        assert kruskal_h(periods).p_value < 1e-6
 
     @given(
         values=st.lists(st.floats(-10, 10), min_size=2, max_size=10),

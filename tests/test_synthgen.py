@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bondtca.calendars import BusinessCalendar
+from bondtca.errors import ConfigError
 from bondtca.impact import empirical_signature, estimate_correlation, estimate_response
 from bondtca.ingest import parse_trace_csv
 from bondtca.synthgen import (
@@ -30,6 +31,18 @@ class TestKernelSpec:
 
     def test_constant(self):
         assert np.allclose(KernelSpec("constant", 7.0).values(5), 7.0)
+
+    @pytest.mark.parametrize("field", ["g0", "beta", "gamma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            KernelSpec("exponential", **{"g0": 25.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["noise_sd_bp", "alpha", "half_spread_bp", "base_price"])
+def test_synth_config_rejects_non_finite(field):
+    with pytest.raises(ConfigError):
+        SynthConfig(**{field: math.nan})
 
 
 class TestTimSeries:
