@@ -69,6 +69,7 @@ _FINITE = _number("finite")
 _NON_NEGATIVE = _number("non-negative", float, lambda v: v >= 0)
 _POSITIVE_FLOAT = _number("positive", float, lambda v: v > 0)
 _POSITIVE_INT = _number("positive", int, lambda v: v > 0)
+_FOLD_COUNT = _number("at-least-2", int, lambda v: v >= 2)
 
 
 def _mixing_list(text: str) -> list[float]:
@@ -132,6 +133,17 @@ def _require(path: Path | None, what: str) -> Path:
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     return path
+
+
+def _check_outputs(args) -> None:
+    """Reject an output path that cannot be written before any output is written."""
+    for name, path in vars(args).items():
+        if not (name.startswith("out_") and path is not None):
+            continue
+        if path.is_dir():
+            raise ConfigError(f"output path is a directory: {path}")
+        if not path.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: {path.parent} is not a directory")
 
 
 def _calendar(args) -> BusinessCalendar:
@@ -546,7 +558,7 @@ def build_parser() -> BondTcaParser:
         "--alpha", type=_mixing_list, default=DEFAULT_EN_ALPHAS,
         help="elastic-net mixing values, comma separated",
     )
-    t.add_argument("--k-folds", type=int, default=10)
+    t.add_argument("--k-folds", type=_FOLD_COUNT, default=10)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--train-range", type=_week_range, help="ISO weeks lo:hi")
     t.add_argument("--test-range", type=_week_range, help="ISO weeks lo:hi")
@@ -590,6 +602,7 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             tokens = _file_tokens(_load_config_file(args.config), args.command, parser.commands)
             args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        _check_outputs(args)
         args.func(args)
     except OSError as exc:  # a path that cannot be read or written
         return _report_error(ConfigError(f"cannot access {exc.filename}: {exc.strerror}"))

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy.special import ndtr
 
 from .errors import DataError, NumericalError
 
@@ -132,6 +130,9 @@ def _r_squared(y: np.ndarray, resid: np.ndarray) -> float:
 
 def fit_ols(data: Dataset) -> FitResult:
     """Least squares via orthogonal decomposition, normal-theory errors."""
+    from scipy import linalg as sla
+    from scipy.special import ndtr
+
     n, w = data.n, data.w
     if n <= w:
         raise DataError(f"OLS needs n > w, got n={n}, w={w}")

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaincc, stdtr
-from scipy.stats import rankdata
 
 from .errors import DataError
 
@@ -28,6 +26,8 @@ class TestResult:
 
 def f_sf(f: float, d1: float, d2: float) -> float:
     """Upper tail of the F(d1, d2) distribution."""
+    from scipy.special import betainc
+
     if math.isinf(f):
         return 0.0
     if f <= 0:
@@ -37,6 +37,8 @@ def f_sf(f: float, d1: float, d2: float) -> float:
 
 def chi2_sf(x: float, k: float) -> float:
     """Upper tail of the chi-squared distribution with k degrees of freedom."""
+    from scipy.special import gammaincc
+
     if x <= 0:
         return 1.0
     return float(gammaincc(k / 2.0, x / 2.0))
@@ -44,7 +46,16 @@ def chi2_sf(x: float, k: float) -> float:
 
 def t_sf(t: float, df: float) -> float:
     """Upper tail of Student's t."""
+    from scipy.special import stdtr
+
     return float(1.0 - stdtr(df, t))
+
+
+def _mid_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks, ties sharing their mean rank, and the size of each tie group."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse], counts
 
 
 def _as_groups(groups: Iterable[Sequence[float]]) -> list[np.ndarray]:
@@ -82,7 +93,7 @@ def kruskal_h(groups: Iterable[Sequence[float]]) -> TestResult:
     if n < 3:
         raise DataError("Kruskal-Wallis needs at least three observations in total")
     pooled = np.concatenate(gs)
-    ranks = rankdata(pooled)  # mid-ranks
+    ranks, counts = _mid_ranks(pooled)
     w = len(gs)
     sizes = tuple(g.size for g in gs)
     h = 0.0
@@ -92,7 +103,6 @@ def kruskal_h(groups: Iterable[Sequence[float]]) -> TestResult:
         h += t_sum * t_sum / g.size
         offset += g.size
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
-    _, counts = np.unique(pooled, return_counts=True)
     tie_adj = 1.0 - float(np.sum(counts**3 - counts)) / (n**3 - n)
     if tie_adj == 0.0:
         return TestResult(0.0, 1.0, (w - 1,), sizes, degenerate=True)

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .calendars import BusinessCalendar
 from .errors import ConfigError
@@ -218,6 +217,19 @@ def _draw_volumes(rng: np.random.Generator, config: SynthConfig) -> np.ndarray:
     return v
 
 
+def _causal_convolution(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The first len(x) terms of the linear convolution of x with an equally long kernel.
+
+    Bit for bit what ``scipy.signal.fftconvolve(x, kernel)[:len(x)]`` gives,
+    without the import of ``scipy.signal``.
+    """
+    from scipy import fft
+
+    t = x.size
+    n = fft.next_fast_len(2 * t - 1, True)
+    return fft.irfft(fft.rfft(x, n) * fft.rfft(kernel, n), n)[:t]
+
+
 def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignSeries, SynthManifest]:
     """Simulate one bond's signed events and exact model mid path."""
     rng = _bond_rng(config, bond_index, concern=0)
@@ -233,8 +245,7 @@ def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignS
         if not mask.any():
             continue
         kv = config.kernel_for(pi).values(t)
-        contrib = fftconvolve(np.where(mask, u, 0.0), kv)[:t]
-        mid += contrib
+        mid += _causal_convolution(np.where(mask, u, 0.0), kv)
 
     series = SignSeries(
         cusip=_bond_cusip(bond_index),

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,6 +204,9 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:0"], None),
     (["fit", "--features", "features.csv", "--model", "en", "--alpha", "0.5,1.5"], None),
     (["fit", "--features", "features.csv", "--model", "en", "--alpha", "nan"], None),
+    (["fit", "--features", "features.csv", "--k-folds", 0], None),
+    (["fit", "--features", "features.csv", "--k-folds", 1], None),
+    (["fit", "--features", "features.csv", "--k-folds", -2], None),
 ]
 
 
@@ -229,6 +235,23 @@ def test_unwritable_output_exit_2(workdir, capsys, flag, path):
     error = json.loads(err[0])
     assert error["error"] == "ConfigError"
     assert path in error["message"]
+    # the paths are checked before anything is written: no tape.csv is left behind
+    assert list(workdir.iterdir()) == []
+
+
+def test_cli_import_loads_no_scipy():
+    # every stage is its own process; scipy is imported only by the
+    # functions that call it, so a stage that needs none pays nothing for it
+    import bondtca
+
+    src = str(Path(bondtca.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, bondtca.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_layer_names_are_bound():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from bondtca.errors import DataError
 from bondtca.stats import (
+    _mid_ranks,
     anova_f,
     chi2_sf,
     f_sf,
@@ -92,6 +94,21 @@ class TestKruskal:
             t_a**2 / m + (total * (total + 1) / 2 - t_a) ** 2 / n
         ) - 3 * (total + 1)
         assert kruskal_h([a, b]).statistic == pytest.approx(expect, abs=1e-10)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-2.5, -0.0, 0.0, 1.0, 3.25]),  # a few values, so many ties
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_mid_ranks_match_scipy_rankdata(self, values):
+        ranks, counts = _mid_ranks(np.array(values))
+        assert np.array_equal(ranks, rankdata(values))
+        assert int(counts.sum()) == len(values)
 
 
 class TestKS:

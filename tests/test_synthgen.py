@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from bondtca.calendars import BusinessCalendar
 from bondtca.errors import ConfigError
@@ -103,6 +104,24 @@ class TestTimSeries:
         s2, _ = generate_tim_series(cfg)
         assert np.array_equal(s1.mid, s2.mid)
         assert np.array_equal(s1.volume, s2.volume)
+
+    @pytest.mark.parametrize("t", [1, 2, 7, 1000, 10007])
+    @pytest.mark.parametrize("family", ["exponential", "power_law"])
+    def test_impact_path_matches_fftconvolve(self, t, family):
+        cfg = SynthConfig(
+            seed=6, n_events=t, noise_sd_bp=0.0, alpha=0.5,
+            kernel_buy=KernelSpec(family, 25.0, beta=0.4, gamma=0.7),
+            kernel_sell=KernelSpec(family, 12.0, beta=0.1, gamma=1.3),
+        )
+        s, _ = generate_tim_series(cfg)
+        # without noise the mid is the start plus each side's convolved flow
+        expect = np.full(t, cfg.initial_mid_bp)
+        u = s.volume**cfg.alpha * s.epsilon
+        for pi in (1, -1):
+            mask = s.epsilon == pi
+            if mask.any():
+                expect += fftconvolve(np.where(mask, u, 0.0), cfg.kernel_for(pi).values(t))[:t]
+        assert np.array_equal(s.mid, expect)
 
     def test_bond_streams_differ(self):
         cfg = SynthConfig(seed=5, n_events=5000)
