@@ -12,12 +12,12 @@ import datetime as dt
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .calendars import IsoWeek
 from .classify import SignedTrade
-from .errors import DataError, ParseError
+from .errors import BondTcaError, DataError, ParseError
 from .features import BondReference, FeatureRow, DESIGN_FEATURES
 from .impact import ImpactKernel
 from .ingest import CleanTrade, FilterReport
@@ -59,7 +59,12 @@ def read_json(path: str | Path):
     return payload["data"] if isinstance(payload, dict) and "data" in payload else payload
 
 
-def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[list[str]]:
+def _read_rows(path: str | Path, expected_header: Sequence[str], convert: Callable) -> Iterator:
+    """``convert(*fields)`` of each data row of a CSV artifact.
+
+    A row whose width differs from the header's, or whose fields ``convert``
+    rejects, raises ParseError with the path and the row's line number.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = None
@@ -72,7 +77,19 @@ def _read_rows(path: str | Path, expected_header: Sequence[str]) -> Iterable[lis
             raise ParseError(f"{path}: empty file")
         if list(header) != list(expected_header):
             raise ParseError(f"{path}: unexpected header {header}")
-        yield from (row for row in reader if row and not row[0].startswith("#"))
+        width = len(header)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            if len(row) != width:
+                raise ParseError(
+                    f"{path}: expected {width} fields, got {len(row)}", row=reader.line_num
+                )
+            try:
+                value = convert(*row)
+            except (ValueError, OverflowError, BondTcaError) as exc:
+                raise ParseError(f"{path}: {exc}", row=reader.line_num) from exc
+            yield value
 
 
 def _ts(value: str) -> dt.datetime:
@@ -97,10 +114,10 @@ def write_clean_trades(path, trades: Iterable[CleanTrade], meta=None) -> None:
 
 
 def read_clean_trades(path) -> list[CleanTrade]:
-    return [
-        CleanTrade(c, int(k), _ts(ts), float(p), float(v), leg)
-        for c, k, ts, p, v, leg in _read_rows(path, CLEAN_HEADER)
-    ]
+    def convert(c, k, ts, p, v, leg):
+        return CleanTrade(c, int(k), _ts(ts), float(p), float(v), leg)
+
+    return list(_read_rows(path, CLEAN_HEADER, convert))
 
 
 # -- signed trades ------------------------------------------------------------
@@ -130,10 +147,10 @@ def write_signed_trades(path, trades: Iterable[SignedTrade], meta=None) -> None:
 
 
 def read_signed_trades(path) -> list[SignedTrade]:
-    return [
-        SignedTrade(c, int(k), _ts(ts), float(p), float(v), leg, int(e), bool(int(r)))
-        for c, k, ts, p, v, leg, e, r in _read_rows(path, SIGNED_HEADER)
-    ]
+    def convert(c, k, ts, p, v, leg, e, r):
+        return SignedTrade(c, int(k), _ts(ts), float(p), float(v), leg, int(e), bool(int(r)))
+
+    return list(_read_rows(path, SIGNED_HEADER, convert))
 
 
 # -- spreads ------------------------------------------------------------------
@@ -155,10 +172,10 @@ def write_spread_observations(path, obs: Iterable[SpreadObservation], meta=None)
 
 
 def read_spread_observations(path) -> list[SpreadObservation]:
-    return [
-        SpreadObservation(c, int(k), _ts(ts), float(psi), float(mid), float(s))
-        for c, k, ts, psi, mid, s in _read_rows(path, SPREAD_HEADER)
-    ]
+    def convert(c, k, ts, psi, mid, s):
+        return SpreadObservation(c, int(k), _ts(ts), float(psi), float(mid), float(s))
+
+    return list(_read_rows(path, SPREAD_HEADER, convert))
 
 
 def write_weekly_spreads(path, weekly: Iterable[WeeklySpread], meta=None) -> None:
@@ -171,10 +188,10 @@ def write_weekly_spreads(path, weekly: Iterable[WeeklySpread], meta=None) -> Non
 
 
 def read_weekly_spreads(path) -> list[WeeklySpread]:
-    return [
-        WeeklySpread(c, IsoWeek.parse(w), float(s), int(n))
-        for c, w, s, n in _read_rows(path, WEEKLY_HEADER)
-    ]
+    def convert(c, w, s, n):
+        return WeeklySpread(c, IsoWeek.parse(w), float(s), int(n))
+
+    return list(_read_rows(path, WEEKLY_HEADER, convert))
 
 
 # -- reference & context ------------------------------------------------------
@@ -193,11 +210,8 @@ CONTEXT_HEADER = ("iso_week", "libor_ois")
 
 
 def read_bond_references(path) -> dict[str, BondReference]:
-    out: dict[str, BondReference] = {}
-    for c, coupon, issue, maturity, amount, grade, sector, freq in _read_rows(
-        path, REFERENCE_HEADER
-    ):
-        out[c] = BondReference(
+    def convert(c, coupon, issue, maturity, amount, grade, sector, freq):
+        return BondReference(
             cusip=c,
             coupon_rate=float(coupon),
             issue_date=dt.date.fromisoformat(issue),
@@ -207,7 +221,8 @@ def read_bond_references(path) -> dict[str, BondReference]:
             sector=sector,
             frequency=int(freq),
         )
-    return out
+
+    return {r.cusip: r for r in _read_rows(path, REFERENCE_HEADER, convert)}
 
 
 def write_bond_references(path, rows: Iterable[Mapping], meta=None) -> None:
@@ -220,10 +235,10 @@ def write_bond_references(path, rows: Iterable[Mapping], meta=None) -> None:
 
 
 def read_market_context(path) -> dict[IsoWeek, float]:
-    return {
-        IsoWeek.parse(week): float(rate)
-        for week, rate in _read_rows(path, CONTEXT_HEADER)
-    }
+    def convert(week, rate):
+        return IsoWeek.parse(week), float(rate)
+
+    return dict(_read_rows(path, CONTEXT_HEADER, convert))
 
 
 def write_market_context(path, rows: Iterable[Mapping], meta=None) -> None:
@@ -252,40 +267,38 @@ def write_feature_rows(path, rows: Iterable[FeatureRow], meta=None) -> None:
 def read_feature_rows(path) -> list[FeatureRow]:
     from .features import SECTORS  # local to avoid cycles in type checkers
 
-    rows: list[FeatureRow] = []
-    for values in _read_rows(path, FEATURE_HEADER):
+    def convert(*values):
         named = dict(zip(FEATURE_HEADER, values))
         sector = next(
             (s for s in SECTORS if float(named[f"sector_{s.lower()}"]) == 1.0), None
         )
         if sector is None:
             raise DataError(f"feature row for {named['cusip']} has no sector indicator")
-        rows.append(
-            FeatureRow(
-                cusip=named["cusip"],
-                week=IsoWeek.parse(named["iso_week"]),
-                mean_s_bp=float(named["mean_s_bp"]),
-                volatility=float(named["volatility"]),
-                n_trading_days=int(float(named["n_trading_days"])),
-                log_zero_trade_days=float(named["log_zero_trade_days"]),
-                prop_n_buy=float(named["prop_n_buy"]),
-                prop_n_sell=float(named["prop_n_sell"]),
-                prop_vol_buy=float(named["prop_vol_buy"]),
-                prop_vol_sell=float(named["prop_vol_sell"]),
-                trading_activity=float(named["trading_activity"]),
-                log_total_volume=float(named["log_total_volume"]),
-                avg_price=float(named["avg_price"]),
-                coupon=float(named["coupon"]),
-                duration=float(named["duration"]),
-                years_to_maturity=float(named["years_to_maturity"]),
-                years_since_issuance=float(named["years_since_issuance"]),
-                turnover=float(named["turnover"]),
-                libor_ois=float(named["libor_ois"]),
-                grade="HY" if float(named["ind_hy"]) == 1.0 else "IG",
-                sector=sector,
-            )
+        return FeatureRow(
+            cusip=named["cusip"],
+            week=IsoWeek.parse(named["iso_week"]),
+            mean_s_bp=float(named["mean_s_bp"]),
+            volatility=float(named["volatility"]),
+            n_trading_days=int(float(named["n_trading_days"])),
+            log_zero_trade_days=float(named["log_zero_trade_days"]),
+            prop_n_buy=float(named["prop_n_buy"]),
+            prop_n_sell=float(named["prop_n_sell"]),
+            prop_vol_buy=float(named["prop_vol_buy"]),
+            prop_vol_sell=float(named["prop_vol_sell"]),
+            trading_activity=float(named["trading_activity"]),
+            log_total_volume=float(named["log_total_volume"]),
+            avg_price=float(named["avg_price"]),
+            coupon=float(named["coupon"]),
+            duration=float(named["duration"]),
+            years_to_maturity=float(named["years_to_maturity"]),
+            years_since_issuance=float(named["years_since_issuance"]),
+            turnover=float(named["turnover"]),
+            libor_ois=float(named["libor_ois"]),
+            grade="HY" if float(named["ind_hy"]) == 1.0 else "IG",
+            sector=sector,
         )
-    return rows
+
+    return list(_read_rows(path, FEATURE_HEADER, convert))
 
 
 # -- filter report, kernels, signatures ---------------------------------------

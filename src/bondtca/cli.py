@@ -70,6 +70,7 @@ _NON_NEGATIVE = _number("non-negative", float, lambda v: v >= 0)
 _POSITIVE_FLOAT = _number("positive", float, lambda v: v > 0)
 _POSITIVE_INT = _number("positive", int, lambda v: v > 0)
 _FOLD_COUNT = _number("at-least-2", int, lambda v: v >= 2)
+_SEED = _number("non-negative", int, lambda v: v >= 0)
 
 
 def _mixing_list(text: str) -> list[float]:
@@ -500,7 +501,7 @@ def build_parser() -> BondTcaParser:
         return p
 
     g = add("generate", cmd_generate, "write a synthetic trade tape with known ground truth")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_SEED, default=0)
     g.add_argument("--events", type=int, default=10_000, help="events per bond")
     g.add_argument("--bonds", type=int, default=1)
     g.add_argument(
@@ -559,7 +560,7 @@ def build_parser() -> BondTcaParser:
         help="elastic-net mixing values, comma separated",
     )
     t.add_argument("--k-folds", type=_FOLD_COUNT, default=10)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_SEED, default=0)
     t.add_argument("--train-range", type=_week_range, help="ISO weeks lo:hi")
     t.add_argument("--test-range", type=_week_range, help="ISO weeks lo:hi")
     t.add_argument(

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import datetime as dt
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .calendars import IsoWeek
@@ -118,10 +120,17 @@ def one_sided_spreads_by_day(
 
     Dealer-dealer trades with volume strictly above ``min_volume`` qualify.
     Each customer trade is marked against the VWAP of the day's qualifying
-    trades more than ``exclusion_minutes`` away from it, and is skipped when
-    there are none; the bond-day figure is the volume-weighted average of the
-    trade-level spreads, and ``reference_price`` is the reference of the
-    day's last marked trade. A day with no marked trade gives no row.
+    trades more than ``exclusion_minutes`` away from it (a dealer trade
+    exactly that far away is excluded), and is skipped when there are none.
+    The bond-day figure is the volume-weighted average of the trade-level
+    spreads. Customer trades are visited in input order and
+    ``reference_price`` is the reference of the day's last marked trade, not
+    a bond-day VWAP. A day with no marked trade gives no row.
+
+    The day's qualifying trades are sorted by time (stably) and summed once
+    into running totals of price x volume and of volume; a customer trade's
+    reference is the day total minus the in-window slice found by bisection,
+    so a bond-day costs O((c + d) log d) for c customer and d dealer trades.
     """
     window = dt.timedelta(minutes=exclusion_minutes)
     by_day: dict[tuple[str, dt.date], list[SignedTrade]] = {}
@@ -129,20 +138,27 @@ def one_sided_spreads_by_day(
         by_day.setdefault((t.cusip, t.timestamp.date()), []).append(t)
     out: list[OneSidedSpread] = []
     for (cusip, day), day_trades in sorted(by_day.items()):
-        dealers = [t for t in day_trades if t.leg == DEALER_DEALER and t.volume > min_volume]
+        dealers = sorted(
+            (t for t in day_trades if t.leg == DEALER_DEALER and t.volume > min_volume),
+            key=lambda d: d.timestamp,
+        )
         if not dealers:
             continue
+        times = [d.timestamp for d in dealers]
+        pv_sum = list(accumulate((d.price * d.volume for d in dealers), initial=0.0))
+        v_sum = list(accumulate((d.volume for d in dealers), initial=0.0))
+        n = len(dealers)
         buy_pv = buy_v = sell_pv = sell_v = 0.0
         ref_any = None
         for t in day_trades:
             if t.leg == DEALER_DEALER:
                 continue
-            pv = sum(
-                d.price * d.volume for d in dealers if abs(d.timestamp - t.timestamp) > window
-            )
-            v = sum(d.volume for d in dealers if abs(d.timestamp - t.timestamp) > window)
-            if v <= 0:
-                continue
+            lo = bisect_left(times, t.timestamp - window)
+            hi = bisect_right(times, t.timestamp + window)
+            if lo == 0 and hi == n:
+                continue  # every qualifying trade is inside the window
+            pv = pv_sum[lo] + (pv_sum[n] - pv_sum[hi])
+            v = v_sum[lo] + (v_sum[n] - v_sum[hi])
             ref = pv / v
             ref_any = ref
             if t.leg == CUSTOMER_BUY:

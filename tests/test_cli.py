@@ -207,6 +207,8 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv", "--k-folds", 0], None),
     (["fit", "--features", "features.csv", "--k-folds", 1], None),
     (["fit", "--features", "features.csv", "--k-folds", -2], None),
+    (["generate", "--events", 300, "--seed", -1], None),
+    (["fit", "--features", "features.csv"], {"fit": {"seed": -1}}),
 ]
 
 
@@ -223,6 +225,51 @@ def test_bad_setting_exit_2(workdir, capsys, argv, file_cfg):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert json.loads(err[0])["error"] == "ConfigError"
+
+
+SIGNED_ROW = "A,0,2015-01-05 10:00:00,100.0,250000.0,dealer_dealer,0,0"
+CLEAN_ROW = "A,0,2015-01-05 10:00:00,100.0,250000.0,dealer_dealer"
+FEATURE_ROW = ",".join(
+    {"cusip": "A", "iso_week": "2015-W02", "sector_s1": "1.0"}.get(name, "0.0")
+    for name in artifacts.FEATURE_HEADER
+)
+# (artifact, its header, a bad third line after one good row, the stage that reads it)
+MALFORMED_ARTIFACTS = {
+    "short_signed_row": (
+        "signed.csv", artifacts.SIGNED_HEADER, "A,1,2015-01-05 10:01:00,100.0",
+        ["report", "--signed", "signed.csv"],
+    ),
+    "non_numeric_price": (
+        "signed.csv", artifacts.SIGNED_HEADER, SIGNED_ROW.replace("100.0", "abc"),
+        ["report", "--signed", "signed.csv"],
+    ),
+    "bad_timestamp": (
+        "signed.csv", artifacts.SIGNED_HEADER, SIGNED_ROW.replace("2015-01-05", "2015-13-45"),
+        ["spread", "--signed", "signed.csv"],
+    ),
+    "short_clean_row": (
+        "clean.csv", artifacts.CLEAN_HEADER, CLEAN_ROW.rsplit(",", 1)[0],
+        ["classify", "--clean", "clean.csv"],
+    ),
+    "short_features_row": (
+        "features.csv", artifacts.FEATURE_HEADER, "A,2015-W02,1.0",
+        ["fit", "--features", "features.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, header, bad_line, argv", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS
+)
+def test_malformed_artifact_row_exit_3(workdir, capsys, name, header, bad_line, argv):
+    good_line = {"signed.csv": SIGNED_ROW, "clean.csv": CLEAN_ROW, "features.csv": FEATURE_ROW}[name]
+    Path(name).write_text("\n".join([",".join(header), good_line, bad_line]) + "\n")
+    assert run(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ParseError"
+    assert name in error["message"] and "row 3" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 import datetime as dt
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from bondtca.calendars import IsoWeek
 from bondtca.errors import ConfigError
 from bondtca.microstructure import (
+    OneSidedSpread,
     aggregate_weekly,
     estimate_spreads,
     one_sided_spreads_by_day,
@@ -274,3 +276,145 @@ class TestOneSided:
         [day] = one_sided_spreads_by_day(trades)
         assert day.spread_buy == pytest.approx(0.01)
         assert day.spread_sell is None
+
+
+def quadratic_one_sided(trades, min_volume=100_000.0, exclusion_minutes=15.0):
+    """The oracle: one_sided_spreads_by_day as it was before prefix sums.
+
+    Re-sums every qualifying dealer trade for each customer trade, so it
+    costs O(customers x dealers) per bond-day.
+    """
+    window = dt.timedelta(minutes=exclusion_minutes)
+    by_day = {}
+    for t in trades:
+        by_day.setdefault((t.cusip, t.timestamp.date()), []).append(t)
+    out = []
+    for (cusip, day), day_trades in sorted(by_day.items()):
+        dealers = [t for t in day_trades if t.leg == "dealer_dealer" and t.volume > min_volume]
+        if not dealers:
+            continue
+        buy_pv = buy_v = sell_pv = sell_v = 0.0
+        ref_any = None
+        for t in day_trades:
+            if t.leg == "dealer_dealer":
+                continue
+            pv = sum(
+                d.price * d.volume for d in dealers if abs(d.timestamp - t.timestamp) > window
+            )
+            v = sum(d.volume for d in dealers if abs(d.timestamp - t.timestamp) > window)
+            if v <= 0:
+                continue
+            ref = pv / v
+            ref_any = ref
+            if t.leg == "customer_buy":
+                buy_pv += (t.price - ref) / ref * t.volume
+                buy_v += t.volume
+            else:
+                sell_pv += (ref - t.price) / ref * t.volume
+                sell_v += t.volume
+        if ref_any is None:
+            continue
+        out.append(
+            OneSidedSpread(
+                cusip=cusip,
+                day=day,
+                spread_buy=buy_pv / buy_v if buy_v > 0 else None,
+                spread_sell=sell_pv / sell_v if sell_v > 0 else None,
+                reference_price=ref_any,
+            )
+        )
+    return out
+
+
+def assert_matches_oracle(trades):
+    """Same rows and None pattern; values within the prefix-sum rounding.
+
+    Spreads are fractions that can be near zero, so they get an absolute
+    tolerance; the reference is a price, so it gets a relative one.
+    """
+    got, want = one_sided_spreads_by_day(trades), quadratic_one_sided(trades)
+    assert [(r.cusip, r.day) for r in got] == [(r.cusip, r.day) for r in want]
+    for g, w in zip(got, want):
+        for name in ("spread_buy", "spread_sell"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert a == pytest.approx(b, rel=0.0, abs=1e-12), name
+        assert g.reference_price == pytest.approx(w.reference_price, rel=1e-12, abs=0.0)
+
+
+# times on a 300 s grid over half an hour with a one-second jitter, so many
+# pairs lie exactly 900 s apart and others just inside or outside; three
+# slots put every dealer in every customer's window
+_trade = st.tuples(
+    st.sampled_from(["A", "B"]),
+    st.integers(0, 1),  # day
+    st.integers(0, 6),  # slot
+    st.sampled_from([0, 0, 0, -1, 1]),  # jitter, seconds
+    st.sampled_from(["customer_buy", "customer_sell", "dealer_dealer", "dealer_dealer"]),
+    st.floats(90.0, 110.0),
+    st.one_of(
+        st.sampled_from([99_999.0, 100_000.0, 100_000.5, 100_001.0]),
+        st.floats(99_000.0, 101_000.0),
+        st.floats(1_000.0, 5e6),
+    ),
+)
+
+
+# no explain phase: on a failing example of this size it runs for minutes
+@settings(
+    max_examples=300,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink),
+)
+@given(
+    rows=st.lists(_trade, min_size=8, max_size=40),
+    slots=st.sampled_from([3, 7]),
+    in_time_order=st.booleans(),
+)
+def test_one_sided_matches_quadratic_oracle(rows, slots, in_time_order):
+    trades = [
+        make_signed(
+            k=k,
+            cusip=cusip,
+            leg=leg,
+            price=price,
+            volume=volume,
+            timestamp=ts(86_400 * day + 300 * (slot % slots) + jitter),
+        )
+        for k, (cusip, day, slot, jitter, leg, price, volume) in enumerate(rows)
+    ]
+    if in_time_order:
+        trades.sort(key=lambda t: (t.cusip, t.timestamp))
+    assert_matches_oracle(trades)
+
+
+def liquid_bond_day():
+    """2,000 customer and 1,000 dealer trades of one bond, in time order over 8 hours."""
+    rng = random.Random(0)
+    legs = ["customer_buy", "customer_sell"] * 1_000 + ["dealer_dealer"] * 1_000
+    rng.shuffle(legs)
+    seconds = sorted(rng.randrange(0, 8 * 3600) for _ in legs)
+    return [
+        make_signed(
+            k=k,
+            leg=leg,
+            price=100.0 + rng.gauss(0.0, 0.5),
+            volume=rng.choice([100_000.0, rng.uniform(5e4, 2e6)]),
+            timestamp=ts(s),
+        )
+        for k, (leg, s) in enumerate(zip(legs, seconds))
+    ]
+
+
+def test_one_sided_liquid_day_matches_quadratic_oracle():
+    trades = liquid_bond_day()
+    assert_matches_oracle(trades)
+    random.Random(1).shuffle(trades)  # out of time order, so the sort matters
+    assert_matches_oracle(trades)
+
+
+def test_one_sided_liquid_day_benchmark(benchmark):
+    trades = liquid_bond_day()
+    rows = benchmark.pedantic(one_sided_spreads_by_day, args=(trades,), rounds=5, iterations=1)
+    assert len(rows) == 1
