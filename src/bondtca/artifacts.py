@@ -2,26 +2,35 @@
 
 Every artifact opens with a provenance line (tool version, config hash,
 seed) so outputs are self-describing yet byte-reproducible: no timestamps
-or absolute paths are ever written. CSV readers skip '#' comment lines.
+or absolute paths are ever written. Each CSV artifact is declared once, as
+an ordered list of columns that map in order onto the fields of its row
+type; one reader and one writer serve them all. CSV readers skip '#'
+comment lines.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import json
+import math
+import operator
+from operator import attrgetter, methodcaller
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
 from .calendars import IsoWeek
 from .classify import SignedTrade
-from .errors import BondTcaError, DataError, ParseError
-from .features import BondReference, FeatureRow, DESIGN_FEATURES
+from .errors import BondTcaError, NumericalError, ParseError
+from .features import FEATURE_NAMES, BondReference, FeatureRow, MarketContext
 from .impact import ImpactKernel
-from .ingest import CleanTrade, FilterReport
+from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, CleanTrade
 from .microstructure import OneSidedSpread, SpreadObservation, WeeklySpread
+
+_call = getattr(operator, "call", lambda fn, value: fn(value))  # operator.call: Python 3.11+
 
 
 def config_hash(config: Mapping) -> str:
@@ -36,22 +45,15 @@ def meta_line(meta: Mapping | None) -> str:
     return "# " + json.dumps(payload, sort_keys=True)
 
 
-def write_csv(
-    path: str | Path,
-    header: Sequence[str],
-    rows: Iterable[Sequence],
-    meta: Mapping | None = None,
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(meta_line(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def write_json(path: str | Path, obj, meta: Mapping | None = None) -> None:
+    """Write strict JSON: a NaN or an infinity in ``obj`` raises NumericalError
+    before the file is opened."""
     payload = {"meta": json.loads(meta_line(meta)[2:]), "data": obj}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: str | Path):
@@ -59,23 +61,132 @@ def read_json(path: str | Path):
     return payload["data"] if isinstance(payload, dict) and "data" in payload else payload
 
 
-def _read_rows(path: str | Path, expected_header: Sequence[str], convert: Callable) -> Iterator:
-    """``convert(*fields)`` of each data row of a CSV artifact.
+# -- the CSV codec ------------------------------------------------------------
 
-    A row whose width differs from the header's, or whose fields ``convert``
-    rejects, raises ParseError with the path and the row's line number.
+
+class Codec(NamedTuple):
+    """How a column's field is parsed from text and formatted back."""
+
+    parse: Callable[[str], Any]
+    format: Callable[[Any], str]
+
+
+class CsvArtifact(NamedTuple):
+    """A CSV artifact: its header names, each with its codec, in the order of
+    the fields of ``row_type``."""
+
+    row_type: type
+    columns: dict[str, Codec]
+
+    @property
+    def header(self) -> list[str]:
+        return list(self.columns)
+
+
+def _csv(row_type: type, **columns: Codec) -> CsvArtifact:
+    return CsvArtifact(row_type, columns)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _optional_finite(text: str) -> float | None:
+    return None if text == "" else _finite(text)
+
+
+def _naive_timestamp(text: str) -> dt.datetime:
+    value = dt.datetime.fromisoformat(text)
+    if value.tzinfo is not None:
+        raise ValueError(f"timestamp with a UTC offset {text!r}")
+    return value
+
+
+def _float_text(value) -> str:
+    return repr(float(value))  # repr of a numpy scalar is "np.float64(...)" under numpy 2
+
+
+def _optional_float_text(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def _choice(values: tuple, format: Callable[[Any], str] = str) -> Codec:
+    """A field that is one of ``values``, each written with ``format``."""
+    return Codec({format(v): v for v in values}.__getitem__, format)
+
+
+_int_text = "%d".__mod__  # str(int(value)), for bools and numpy integers too
+TEXT = Codec(str, str)
+INT = Codec(int, _int_text)
+FLOAT = Codec(_finite, _float_text)  # NaN, infinities and overflow are rejected
+OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
+TIMESTAMP = Codec(_naive_timestamp, methodcaller("isoformat", " "))  # no UTC offset
+DATE = Codec(dt.date.fromisoformat, dt.date.isoformat)
+WEEK = Codec(IsoWeek.parse, attrgetter("label"))
+LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
+
+CLEAN = _csv(CleanTrade, cusip=TEXT, k=INT, timestamp=TIMESTAMP, price=FLOAT, volume=FLOAT, leg=LEG)
+SIGNED = _csv(
+    SignedTrade,
+    **CLEAN.columns,
+    epsilon=_choice((-1, 0, 1), _int_text),
+    is_rpt=_choice((False, True), _int_text),
+)
+SPREADS = _csv(SpreadObservation, cusip=TEXT, k=INT, t=TIMESTAMP, psi=FLOAT, mid=FLOAT, s_bp=FLOAT)
+WEEKLY = _csv(WeeklySpread, cusip=TEXT, iso_week=WEEK, mean_s_bp=FLOAT, n_obs=INT)
+REFERENCES = _csv(
+    BondReference,
+    cusip=TEXT,
+    coupon_rate=FLOAT,
+    issue_date=DATE,
+    maturity_date=DATE,
+    amount_outstanding=FLOAT,
+    grade=TEXT,
+    sector=TEXT,
+    frequency=INT,
+)
+CONTEXT = _csv(MarketContext, iso_week=WEEK, libor_ois=FLOAT)
+FEATURES = _csv(
+    FeatureRow, cusip=TEXT, iso_week=WEEK, mean_s_bp=FLOAT, **dict.fromkeys(FEATURE_NAMES, FLOAT)
+)
+
+
+@dataclasses.dataclass(slots=True)
+class SignaturePoint:
+    lag: int
+    d_emp: float
+    d_model: float
+
+
+SIGNATURE = _csv(SignaturePoint, lag=INT, d_emp=FLOAT, d_model=FLOAT)
+ONE_SIDED = _csv(
+    OneSidedSpread,
+    cusip=TEXT,
+    day=DATE,
+    spread_buy=OPTIONAL_FLOAT,
+    spread_sell=OPTIONAL_FLOAT,
+    reference_price=OPTIONAL_FLOAT,
+)
+
+
+def _read(path: str | Path, artifact: CsvArtifact) -> Iterator:
+    """The data rows of a CSV artifact, each parsed into ``artifact.row_type``.
+
+    A wrong header, a row whose width differs from the header's, or a field
+    its column rejects raises ParseError with the path, the line and the
+    column.
     """
+    parsers = [c.parse for c in artifact.columns.values()]
+    make = artifact.row_type
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if row and row[0].startswith("#"):
-                continue
-            header = row
-            break
+        header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
         if header is None:
             raise ParseError(f"{path}: empty file")
-        if list(header) != list(expected_header):
+        if header != artifact.header:
             raise ParseError(f"{path}: unexpected header {header}")
         width = len(header)
         for row in reader:
@@ -86,226 +197,98 @@ def _read_rows(path: str | Path, expected_header: Sequence[str], convert: Callab
                     f"{path}: expected {width} fields, got {len(row)}", row=reader.line_num
                 )
             try:
-                value = convert(*row)
-            except (ValueError, OverflowError, BondTcaError) as exc:
-                raise ParseError(f"{path}: {exc}", row=reader.line_num) from exc
+                value = make(*map(_call, parsers, row))
+            except (ValueError, KeyError, BondTcaError) as exc:
+                raise _row_error(path, reader.line_num, artifact, row, exc) from exc
             yield value
 
 
-def _ts(value: str) -> dt.datetime:
-    return dt.datetime.fromisoformat(value)
+def _row_error(path, line: int, artifact: CsvArtifact, row: list[str], exc) -> ParseError:
+    """The ParseError for a row that failed to parse: its first bad field, if any."""
+    for (name, codec), text in zip(artifact.columns.items(), row):
+        try:
+            codec.parse(text)
+        except (ValueError, KeyError, BondTcaError):
+            return ParseError(f"{path}: bad {name} {text!r}", row=line, column=name)
+    return ParseError(f"{path}: {exc}", row=line)
 
 
-# -- clean trades -------------------------------------------------------------
+def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mapping | None) -> None:
+    """Write the provenance line, the header and one line per row."""
+    fields = attrgetter(*(f.name for f in dataclasses.fields(artifact.row_type)))
+    formats = [c.format for c in artifact.columns.values()]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(meta_line(meta) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(artifact.header)
+        writer.writerows(map(_call, formats, fields(r)) for r in rows)
 
-CLEAN_HEADER = ("cusip", "k", "timestamp", "price", "volume", "leg")
 
-
-def write_clean_trades(path, trades: Iterable[CleanTrade], meta=None) -> None:
-    write_csv(
-        path,
-        CLEAN_HEADER,
-        (
-            (t.cusip, t.k, t.timestamp.isoformat(sep=" "), repr(t.price), repr(t.volume), t.leg)
-            for t in trades
-        ),
-        meta,
-    )
+# -- public readers and writers -----------------------------------------------
 
 
 def read_clean_trades(path) -> list[CleanTrade]:
-    def convert(c, k, ts, p, v, leg):
-        return CleanTrade(c, int(k), _ts(ts), float(p), float(v), leg)
-
-    return list(_read_rows(path, CLEAN_HEADER, convert))
+    return list(_read(path, CLEAN))
 
 
-# -- signed trades ------------------------------------------------------------
-
-SIGNED_HEADER = CLEAN_HEADER + ("epsilon", "is_rpt")
-
-
-def write_signed_trades(path, trades: Iterable[SignedTrade], meta=None) -> None:
-    write_csv(
-        path,
-        SIGNED_HEADER,
-        (
-            (
-                t.cusip,
-                t.k,
-                t.timestamp.isoformat(sep=" "),
-                repr(t.price),
-                repr(t.volume),
-                t.leg,
-                t.epsilon,
-                int(t.is_rpt),
-            )
-            for t in trades
-        ),
-        meta,
-    )
+def write_clean_trades(path, trades: Iterable[CleanTrade], meta=None) -> None:
+    _write(path, CLEAN, trades, meta)
 
 
 def read_signed_trades(path) -> list[SignedTrade]:
-    def convert(c, k, ts, p, v, leg, e, r):
-        return SignedTrade(c, int(k), _ts(ts), float(p), float(v), leg, int(e), bool(int(r)))
-
-    return list(_read_rows(path, SIGNED_HEADER, convert))
+    return list(_read(path, SIGNED))
 
 
-# -- spreads ------------------------------------------------------------------
-
-SPREAD_HEADER = ("cusip", "k", "t", "psi", "mid", "s_bp")
-WEEKLY_HEADER = ("cusip", "iso_week", "mean_s_bp", "n_obs")
-
-
-def write_spread_observations(path, obs: Iterable[SpreadObservation], meta=None) -> None:
-    write_csv(
-        path,
-        SPREAD_HEADER,
-        (
-            (o.cusip, o.k, o.timestamp.isoformat(sep=" "), repr(o.psi), repr(o.mid), repr(o.s_bp))
-            for o in obs
-        ),
-        meta,
-    )
+def write_signed_trades(path, trades: Iterable[SignedTrade], meta=None) -> None:
+    _write(path, SIGNED, trades, meta)
 
 
 def read_spread_observations(path) -> list[SpreadObservation]:
-    def convert(c, k, ts, psi, mid, s):
-        return SpreadObservation(c, int(k), _ts(ts), float(psi), float(mid), float(s))
-
-    return list(_read_rows(path, SPREAD_HEADER, convert))
+    return list(_read(path, SPREADS))
 
 
-def write_weekly_spreads(path, weekly: Iterable[WeeklySpread], meta=None) -> None:
-    write_csv(
-        path,
-        WEEKLY_HEADER,
-        ((w.cusip, w.week.label, repr(w.mean_s_bp), w.n_obs) for w in weekly),
-        meta,
-    )
+def write_spread_observations(path, obs: Iterable[SpreadObservation], meta=None) -> None:
+    _write(path, SPREADS, obs, meta)
 
 
 def read_weekly_spreads(path) -> list[WeeklySpread]:
-    def convert(c, w, s, n):
-        return WeeklySpread(c, IsoWeek.parse(w), float(s), int(n))
-
-    return list(_read_rows(path, WEEKLY_HEADER, convert))
+    return list(_read(path, WEEKLY))
 
 
-# -- reference & context ------------------------------------------------------
-
-REFERENCE_HEADER = (
-    "cusip",
-    "coupon_rate",
-    "issue_date",
-    "maturity_date",
-    "amount_outstanding",
-    "grade",
-    "sector",
-    "frequency",
-)
-CONTEXT_HEADER = ("iso_week", "libor_ois")
+def write_weekly_spreads(path, weekly: Iterable[WeeklySpread], meta=None) -> None:
+    _write(path, WEEKLY, weekly, meta)
 
 
 def read_bond_references(path) -> dict[str, BondReference]:
-    def convert(c, coupon, issue, maturity, amount, grade, sector, freq):
-        return BondReference(
-            cusip=c,
-            coupon_rate=float(coupon),
-            issue_date=dt.date.fromisoformat(issue),
-            maturity_date=dt.date.fromisoformat(maturity),
-            amount_outstanding=float(amount),
-            grade=grade,
-            sector=sector,
-            frequency=int(freq),
-        )
-
-    return {r.cusip: r for r in _read_rows(path, REFERENCE_HEADER, convert)}
+    return {r.cusip: r for r in _read(path, REFERENCES)}
 
 
-def write_bond_references(path, rows: Iterable[Mapping], meta=None) -> None:
-    write_csv(
-        path,
-        REFERENCE_HEADER,
-        ((r[c] for c in REFERENCE_HEADER) for r in rows),
-        meta,
-    )
+def write_bond_references(path, rows: Iterable[BondReference], meta=None) -> None:
+    _write(path, REFERENCES, rows, meta)
 
 
 def read_market_context(path) -> dict[IsoWeek, float]:
-    def convert(week, rate):
-        return IsoWeek.parse(week), float(rate)
-
-    return dict(_read_rows(path, CONTEXT_HEADER, convert))
+    return {r.week: r.libor_ois for r in _read(path, CONTEXT)}
 
 
-def write_market_context(path, rows: Iterable[Mapping], meta=None) -> None:
-    write_csv(path, CONTEXT_HEADER, ((r["iso_week"], r["libor_ois"]) for r in rows), meta)
-
-
-# -- features -----------------------------------------------------------------
-
-FEATURE_HEADER = ("cusip", "iso_week", "mean_s_bp") + tuple(DESIGN_FEATURES) + (
-    "log_zero_trade_days",
-)
-
-
-def write_feature_rows(path, rows: Iterable[FeatureRow], meta=None) -> None:
-    def encode(r: FeatureRow):
-        m = r.as_mapping()
-        return (
-            (r.cusip, r.week.label, repr(r.mean_s_bp))
-            + tuple(repr(m[name]) for name in DESIGN_FEATURES)
-            + (repr(r.log_zero_trade_days),)
-        )
-
-    write_csv(path, FEATURE_HEADER, (encode(r) for r in rows), meta)
+def write_market_context(path, rows: Iterable[MarketContext], meta=None) -> None:
+    _write(path, CONTEXT, rows, meta)
 
 
 def read_feature_rows(path) -> list[FeatureRow]:
-    from .features import SECTORS  # local to avoid cycles in type checkers
-
-    def convert(*values):
-        named = dict(zip(FEATURE_HEADER, values))
-        sector = next(
-            (s for s in SECTORS if float(named[f"sector_{s.lower()}"]) == 1.0), None
-        )
-        if sector is None:
-            raise DataError(f"feature row for {named['cusip']} has no sector indicator")
-        return FeatureRow(
-            cusip=named["cusip"],
-            week=IsoWeek.parse(named["iso_week"]),
-            mean_s_bp=float(named["mean_s_bp"]),
-            volatility=float(named["volatility"]),
-            n_trading_days=int(float(named["n_trading_days"])),
-            log_zero_trade_days=float(named["log_zero_trade_days"]),
-            prop_n_buy=float(named["prop_n_buy"]),
-            prop_n_sell=float(named["prop_n_sell"]),
-            prop_vol_buy=float(named["prop_vol_buy"]),
-            prop_vol_sell=float(named["prop_vol_sell"]),
-            trading_activity=float(named["trading_activity"]),
-            log_total_volume=float(named["log_total_volume"]),
-            avg_price=float(named["avg_price"]),
-            coupon=float(named["coupon"]),
-            duration=float(named["duration"]),
-            years_to_maturity=float(named["years_to_maturity"]),
-            years_since_issuance=float(named["years_since_issuance"]),
-            turnover=float(named["turnover"]),
-            libor_ois=float(named["libor_ois"]),
-            grade="HY" if float(named["ind_hy"]) == 1.0 else "IG",
-            sector=sector,
-        )
-
-    return list(_read_rows(path, FEATURE_HEADER, convert))
+    return list(_read(path, FEATURES))
 
 
-# -- filter report, kernels, signatures ---------------------------------------
+def write_feature_rows(path, rows: Iterable[FeatureRow], meta=None) -> None:
+    _write(path, FEATURES, rows, meta)
 
 
-def write_filter_report(path, report: FilterReport, meta=None) -> None:
-    write_json(path, report.to_json_obj(), meta)
+def write_signature(path, lags, d_emp, d_model, meta=None) -> None:
+    _write(path, SIGNATURE, map(SignaturePoint, lags, d_emp, d_model), meta)
+
+
+def write_one_sided(path, rows: Iterable[OneSidedSpread], meta=None) -> None:
+    _write(path, ONE_SIDED, rows, meta)
 
 
 def kernel_json_obj(kernels: Mapping[int | None, ImpactKernel], model: str, alpha: float) -> dict:
@@ -326,33 +309,3 @@ def kernel_json_obj(kernels: Mapping[int | None, ImpactKernel], model: str, alph
         "g0": g0,
         "condition_number": max(k.condition_number for k in kernels.values()),
     }
-
-
-SIGNATURE_HEADER = ("lag", "d_emp", "d_model")
-
-
-def write_signature(path, lags, d_emp, d_model, meta=None) -> None:
-    write_csv(
-        path,
-        SIGNATURE_HEADER,
-        ((int(l), repr(float(e)), repr(float(m))) for l, e, m in zip(lags, d_emp, d_model)),
-        meta,
-    )
-
-
-def write_one_sided(path, rows: Iterable[OneSidedSpread], meta=None) -> None:
-    write_csv(
-        path,
-        ("cusip", "day", "spread_buy", "spread_sell", "reference_price"),
-        (
-            (
-                r.cusip,
-                r.day.isoformat(),
-                "" if r.spread_buy is None else repr(r.spread_buy),
-                "" if r.spread_sell is None else repr(r.spread_sell),
-                "" if r.reference_price is None else repr(r.reference_price),
-            )
-            for r in rows
-        ),
-        meta,
-    )

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +216,7 @@ def cmd_ingest(args) -> None:
         refs = artifacts.read_bond_references(_require(args.reference, "bond reference"))
         clean = cap_volumes(clean, {c: r.grade for c, r in refs.items()})
     artifacts.write_clean_trades(args.out_clean, clean, _meta(args))
-    artifacts.write_filter_report(args.out_filter_report, report, _meta(args))
+    artifacts.write_json(args.out_filter_report, asdict(report), _meta(args))
     print(f"ingested {len(reports)} reports -> {len(clean)} clean trades")
 
 
@@ -466,7 +467,8 @@ def cmd_report(args) -> None:
         obj["asymmetry"] = {
             "mean_spread_buy_bp": float(np.mean(buys) * 1e4),
             "mean_spread_sell_bp": float(np.mean(sells) * 1e4),
-            "welch_t": test.statistic,
+            # +-inf when both samples are constant with different means
+            "welch_t": test.statistic if math.isfinite(test.statistic) else None,
             "p_value": test.p_value,
             "df": test.df[0] if test.df else None,
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,8 @@ from .ingest import CUSTOMER_BUY, CUSTOMER_SELL
 DAYS_PER_YEAR = 365.25
 SECTORS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9")
 GRADES = ("IG", "HY")
+GRADE_INDICATORS = ("ind_hy", "ind_ig")
+SECTOR_INDICATORS = tuple(f"sector_{s.lower()}" for s in SECTORS)
 
 DESIGN_FEATURES: tuple[str, ...] = (
     "volatility",
@@ -41,10 +43,11 @@ DESIGN_FEATURES: tuple[str, ...] = (
     "years_since_issuance",
     "turnover",
     "libor_ois",
-    "ind_hy",
-    "ind_ig",
-    *(f"sector_{s.lower()}" for s in SECTORS),
+    *GRADE_INDICATORS,
+    *SECTOR_INDICATORS,
 )
+# the named values of a feature row, in features.csv column order
+FEATURE_NAMES = (*DESIGN_FEATURES, "log_zero_trade_days")
 
 
 def _add_months(day: dt.date, months: int) -> dt.date:
@@ -92,6 +95,12 @@ class BondReference:
             flows = [(d, coupon) for d in sorted(dates)]
         flows.append((self.maturity_date, 100.0))
         return flows
+
+
+@dataclass(frozen=True)
+class MarketContext:
+    week: IsoWeek
+    libor_ois: float
 
 
 def weekly_volatility(prices: Sequence[float]) -> float | None:
@@ -155,54 +164,21 @@ def duration(
     return sum(t * v for t, v in pv) / total
 
 
-@dataclass(slots=True)
-class FeatureRow:
-    cusip: str
-    week: IsoWeek
-    mean_s_bp: float  # response
-    volatility: float
-    n_trading_days: int
-    log_zero_trade_days: float
-    prop_n_buy: float
-    prop_n_sell: float
-    prop_vol_buy: float
-    prop_vol_sell: float
-    trading_activity: float
-    log_total_volume: float
-    avg_price: float
-    coupon: float
-    duration: float
-    years_to_maturity: float
-    years_since_issuance: float
-    turnover: float
-    libor_ois: float
-    grade: str
-    sector: str
+def _check_indicators(row) -> None:
+    for kind, group in (("grade", GRADE_INDICATORS), ("sector", SECTOR_INDICATORS)):
+        if sorted(getattr(row, name) for name in group) != [0.0] * (len(group) - 1) + [1.0]:
+            raise DataError(f"feature row for {row.cusip} has no single {kind} indicator set")
 
-    def as_mapping(self) -> dict[str, float]:
-        m = {
-            "volatility": self.volatility,
-            "n_trading_days": float(self.n_trading_days),
-            "log_zero_trade_days": self.log_zero_trade_days,
-            "prop_n_buy": self.prop_n_buy,
-            "prop_n_sell": self.prop_n_sell,
-            "prop_vol_buy": self.prop_vol_buy,
-            "prop_vol_sell": self.prop_vol_sell,
-            "trading_activity": self.trading_activity,
-            "log_total_volume": self.log_total_volume,
-            "avg_price": self.avg_price,
-            "coupon": self.coupon,
-            "duration": self.duration,
-            "years_to_maturity": self.years_to_maturity,
-            "years_since_issuance": self.years_since_issuance,
-            "turnover": self.turnover,
-            "libor_ois": self.libor_ois,
-            "ind_hy": 1.0 if self.grade == "HY" else 0.0,
-            "ind_ig": 1.0 if self.grade == "IG" else 0.0,
-        }
-        for s in SECTORS:
-            m[f"sector_{s.lower()}"] = 1.0 if self.sector == s else 0.0
-        return m
+
+FeatureRow = make_dataclass(
+    "FeatureRow",
+    [("cusip", str), ("week", IsoWeek), ("mean_s_bp", float), *((n, float) for n in FEATURE_NAMES)],
+    namespace={
+        "__doc__": "One bond-week: the response mean_s_bp and the FEATURE_NAMES values.",
+        "__post_init__": _check_indicators,
+    },
+    slots=True,
+)
 
 
 def build_feature_matrix(
@@ -258,8 +234,7 @@ def build_feature_matrix(
                 week=ws.week,
                 mean_s_bp=ws.mean_s_bp,
                 volatility=vol,
-                n_trading_days=len(trade_days),
-                log_zero_trade_days=math.log10(1 + zero_days),
+                n_trading_days=float(len(trade_days)),
                 prop_n_buy=n_buy / n_cust if n_cust else 0.0,
                 prop_n_sell=n_sell / n_cust if n_cust else 0.0,
                 prop_vol_buy=v_buy / v_cust if v_cust else 0.0,
@@ -273,8 +248,10 @@ def build_feature_matrix(
                 years_since_issuance=(as_of - ref.issue_date).days / DAYS_PER_YEAR,
                 turnover=total_volume / ref.amount_outstanding,
                 libor_ois=context[ws.week],
-                grade=ref.grade,
-                sector=ref.sector,
+                ind_hy=float(ref.grade == "HY"),
+                ind_ig=float(ref.grade == "IG"),
+                **{name: float(ref.sector == s) for name, s in zip(SECTOR_INDICATORS, SECTORS)},
+                log_zero_trade_days=math.log10(1 + zero_days),
             )
         )
     return rows
@@ -284,10 +261,9 @@ def design_matrix(
     rows: Sequence[FeatureRow], feature_names: Sequence[str] = DESIGN_FEATURES
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Response vector and covariate matrix in a fixed column order."""
+    unknown = [name for name in feature_names if name not in FEATURE_NAMES]
+    if unknown:
+        raise DataError(f"unknown feature {unknown[0]!r}")
     y = np.array([r.mean_s_bp for r in rows], dtype=float)
-    maps = [r.as_mapping() for r in rows]
-    try:
-        x = np.array([[m[name] for name in feature_names] for m in maps], dtype=float)
-    except KeyError as exc:
-        raise DataError(f"unknown feature {exc.args[0]!r}") from exc
+    x = np.array([[getattr(r, name) for name in feature_names] for r in rows], dtype=float)
     return y, x, tuple(feature_names)

@@ -115,32 +115,6 @@ class FilterReport:
     steps: list[FilterStep]
     lifecycle: LifecycleStats | None = None
 
-    def as_rows(self) -> list[dict]:
-        return [
-            {
-                "step": s.step,
-                "label": s.label,
-                "removed": s.removed,
-                "removed_pct": s.removed_pct,
-                "remaining": s.remaining,
-            }
-            for s in self.steps
-        ]
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"steps": self.as_rows()}
-        if self.lifecycle is not None:
-            lc = self.lifecycle
-            obj["lifecycle"] = {
-                "input_reports": lc.input_reports,
-                "settled_trades": lc.settled_trades,
-                "cancels_applied": lc.cancels_applied,
-                "corrections_applied": lc.corrections_applied,
-                "reversals_applied": lc.reversals_applied,
-                "dangling_references": lc.dangling_references,
-            }
-        return obj
-
 
 def _open_text(source: str | Path | IO[bytes] | IO[str] | bytes) -> IO[str]:
     if isinstance(source, (str, Path)):
@@ -177,17 +151,12 @@ def _parse_timestamp(
     return dt.datetime.combine(day, tod)
 
 
-def parse_trace_csv(
-    source: str | Path | IO[bytes] | IO[str] | bytes,
-    schema: Mapping[str, str] | None = None,
-) -> list[RawTradeReport]:
+def parse_trace_csv(source: str | Path | IO[bytes] | IO[str] | bytes) -> list[RawTradeReport]:
     """Parse a trade-tape CSV into raw reports.
 
-    ``schema`` optionally maps canonical column names to the header names
-    actually present in the file; by default the documented header is
-    expected verbatim. Rows starting with '#' are metadata and skipped.
+    The header must name every column of TAPE_COLUMNS, in any order. Rows
+    starting with '#' are metadata and skipped.
     """
-    rename = dict(schema or {})
     fh = _open_text(source)
     reader = csv.reader(fh)
 
@@ -204,11 +173,10 @@ def parse_trace_csv(
 
     positions: dict[str, int] = {}
     for name in TAPE_COLUMNS:
-        actual = rename.get(name, name)
         try:
-            positions[name] = header.index(actual)
+            positions[name] = header.index(name)
         except ValueError:
-            raise ParseError(f"missing column {actual!r} in header", row=row_no, column=name)
+            raise ParseError(f"missing column {name!r} in header", row=row_no, column=name)
     idx = [positions[name] for name in TAPE_COLUMNS]
     n_cols = len(header)
 

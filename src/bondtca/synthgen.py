@@ -23,7 +23,9 @@ import numpy as np
 
 from .calendars import BusinessCalendar
 from .errors import ConfigError
+from .features import BondReference, MarketContext
 from .impact import SignSeries
+from .ingest import TAPE_COLUMNS
 
 KERNEL_FAMILIES = ("exponential", "power_law", "constant")
 
@@ -507,10 +509,7 @@ def generate_trace_fixture(
     rows.extend(_violation_rows(config, calendar))
 
     buf = io.StringIO()
-    buf.write(
-        "record_id,cusip,exec_date,exec_time,price,volume,report_kind,"
-        "references_record,capacity,contra_party,customer_side,sale_condition,sub_product\n"
-    )
+    buf.write(",".join(TAPE_COLUMNS) + "\n")
     for r in rows:
         buf.write(
             f"{r.record_id},{r.cusip},{r.timestamp.date().isoformat()},"
@@ -520,30 +519,23 @@ def generate_trace_fixture(
     return buf.getvalue().encode("utf-8"), manifest
 
 
-def reference_rows(config: SynthConfig) -> list[dict]:
+def reference_rows(config: SynthConfig) -> list[BondReference]:
     """Bond reference records matching the synthetic cusips."""
-    out = []
-    for i in range(config.n_bonds):
-        out.append(
-            {
-                "cusip": _bond_cusip(i),
-                "coupon_rate": 3.0 + (i % 5),
-                "issue_date": (config.start_date - dt.timedelta(days=730)).isoformat(),
-                "maturity_date": (
-                    config.start_date + dt.timedelta(days=365 * (3 + i % 10))
-                ).isoformat(),
-                "amount_outstanding": 5e8,
-                "grade": "IG" if i % 2 == 0 else "HY",
-                "sector": f"S{1 + i % 9}",
-                "frequency": 2,
-            }
-        )
-    return out
-
-
-def market_context_rows(config: SynthConfig, weeks: Sequence) -> list[dict]:
-    """A deterministic, mildly varying short-rate spread per week."""
     return [
-        {"iso_week": w.label, "libor_ois": round(0.15 + 0.01 * (i % 10), 4)}
-        for i, w in enumerate(weeks)
+        BondReference(
+            cusip=_bond_cusip(i),
+            coupon_rate=3.0 + (i % 5),
+            issue_date=config.start_date - dt.timedelta(days=730),
+            maturity_date=config.start_date + dt.timedelta(days=365 * (3 + i % 10)),
+            amount_outstanding=5e8,
+            grade="IG" if i % 2 == 0 else "HY",
+            sector=f"S{1 + i % 9}",
+            frequency=2,
+        )
+        for i in range(config.n_bonds)
     ]
+
+
+def market_context_rows(config: SynthConfig, weeks: Sequence) -> list[MarketContext]:
+    """A deterministic, mildly varying short-rate spread per week."""
+    return [MarketContext(w, round(0.15 + 0.01 * (i % 10), 4)) for i, w in enumerate(weeks)]

@@ -8,7 +8,7 @@ import pytest
 
 from bondtca.calendars import BusinessCalendar
 from bondtca.classify import SignedTrade
-from bondtca.ingest import CleanTrade, RawTradeReport
+from bondtca.ingest import TAPE_COLUMNS, CleanTrade, RawTradeReport
 
 MONDAY = dt.datetime(2015, 1, 5, 10, 0, 0)  # a business-day mid-morning
 
@@ -76,11 +76,7 @@ def calendar() -> BusinessCalendar:
 
 
 def tape_csv(rows: list[str]) -> bytes:
-    header = (
-        "record_id,cusip,exec_date,exec_time,price,volume,report_kind,"
-        "references_record,capacity,contra_party,customer_side,sale_condition,sub_product"
-    )
-    return ("\n".join([header] + rows) + "\n").encode()
+    return ("\n".join([",".join(TAPE_COLUMNS)] + rows) + "\n").encode()
 
 
 def trade_row(

@@ -1,0 +1,126 @@
+"""The CSV codec: every declared artifact round-trips, and JSON is strict."""
+
+import datetime as dt
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bondtca import artifacts
+from bondtca.calendars import IsoWeek
+from bondtca.cli import main
+from bondtca.errors import NumericalError
+from bondtca.features import GRADE_INDICATORS, GRADES, SECTOR_INDICATORS, SECTORS
+from conftest import make_signed
+
+DECLARATIONS = {
+    name: value for name, value in vars(artifacts).items() if isinstance(value, artifacts.CsvArtifact)
+}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # any magnitude, -0.0, subnormals
+# a field that opens a line with '#' would read back as a comment line
+CUSIP = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, max_size=9)
+BY_CODEC = {
+    artifacts.TEXT: CUSIP,
+    artifacts.INT: st.integers(),
+    artifacts.FLOAT: FINITE,
+    artifacts.OPTIONAL_FLOAT: st.none() | FINITE,
+    artifacts.TIMESTAMP: st.datetimes(),
+    artifacts.DATE: st.dates(),
+    artifacts.WEEK: st.dates().map(IsoWeek.of),
+}
+BY_NAME = {
+    "grade": st.sampled_from(GRADES),
+    "sector": st.sampled_from(SECTORS),
+    "amount_outstanding": st.floats(min_value=1.0, allow_infinity=False),
+}
+
+
+def column_values(name, codec):
+    if name in BY_NAME:
+        return BY_NAME[name]
+    choices = getattr(codec.parse, "__self__", None)  # a choice column parses by lookup
+    if isinstance(choices, dict):
+        return st.sampled_from(list(choices.values()))
+    return BY_CODEC[codec]
+
+
+@st.composite
+def rows_of(draw, artifact):
+    values = {name: draw(column_values(name, codec)) for name, codec in artifact.columns.items()}
+    # the row types' own checks: one-hot indicators, issue before maturity
+    for group in (GRADE_INDICATORS, SECTOR_INDICATORS):
+        if group[0] in values:
+            hot = draw(st.sampled_from(group))
+            values.update({name: float(name == hot) for name in group})
+    if "issue_date" in values:
+        dates = draw(st.lists(st.dates(), min_size=2, max_size=2, unique=True))
+        values["issue_date"], values["maturity_date"] = sorted(dates)
+    return artifact.row_type(*values.values())
+
+
+def test_every_artifact_is_declared():
+    assert sorted(DECLARATIONS) == [
+        "CLEAN", "CONTEXT", "FEATURES", "ONE_SIDED", "REFERENCES", "SIGNATURE", "SIGNED",
+        "SPREADS", "WEEKLY",
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(DECLARATIONS))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_declaration_round_trip(tmp_path, name, data):
+    artifact = DECLARATIONS[name]
+    rows = data.draw(st.lists(rows_of(artifact), max_size=4))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    artifacts._write(first, artifact, rows, {"seed": 1})
+    back = list(artifacts._read(first, artifact))
+    assert back == rows
+    artifacts._write(second, artifact, back, {"seed": 1})
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text().split("\n")[1] == ",".join(artifact.columns)
+
+
+def test_numpy_scalars_write_as_python_floats(tmp_path):
+    path = tmp_path / "signature.csv"
+    artifacts.write_signature(path, np.arange(1, 3), np.array([0.5, -0.0]), np.array([1e-310, 2.0]))
+    assert path.read_text().splitlines()[2:] == ["1,0.5,1e-310", "2,-0.0,2.0"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_before_opening(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericalError):
+        artifacts.write_json(path, {"x": [1.0, value]})
+    assert not path.exists()
+
+
+def strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_degenerate_welch_t_is_written_as_null(tmp_path):
+    # two bond-days, each with one dealer reference at 100.0, a buy at 101.0
+    # and a sell at 99.5: both samples are constant, with different means
+    trades = []
+    for day in (5, 6):
+        base = dt.datetime(2015, 1, day, 10, 0, 0)
+        for k, (minutes, price, leg) in enumerate(
+            [(0, 100.0, "dealer_dealer"), (60, 101.0, "customer_buy"), (90, 99.5, "customer_sell")]
+        ):
+            trades.append(
+                make_signed(k=k, timestamp=base + dt.timedelta(minutes=minutes), price=price,
+                            volume=200_000.0, leg=leg)
+            )
+    artifacts.write_signed_trades(tmp_path / "signed.csv", trades)
+    out = tmp_path / "report.json"
+    assert main(["report", "--signed", str(tmp_path / "signed.csv"), "--out-report", str(out)]) == 0
+    asymmetry = strict_json(out.read_text())["data"]["asymmetry"]
+    assert asymmetry["welch_t"] is None
+    assert asymmetry["p_value"] == 0.0
+    assert asymmetry["mean_spread_buy_bp"] > asymmetry["mean_spread_sell_bp"]

@@ -229,47 +229,92 @@ def test_bad_setting_exit_2(workdir, capsys, argv, file_cfg):
 
 SIGNED_ROW = "A,0,2015-01-05 10:00:00,100.0,250000.0,dealer_dealer,0,0"
 CLEAN_ROW = "A,0,2015-01-05 10:00:00,100.0,250000.0,dealer_dealer"
-FEATURE_ROW = ",".join(
-    {"cusip": "A", "iso_week": "2015-W02", "sector_s1": "1.0"}.get(name, "0.0")
-    for name in artifacts.FEATURE_HEADER
-)
-# (artifact, its header, a bad third line after one good row, the stage that reads it)
+SPREAD_ROW = "A,1,2015-01-05 10:01:00,0.5,100.0,50.0"
+
+
+def feature_line(**fields):
+    base = {"cusip": "A", "iso_week": "2015-W02", "ind_ig": "1.0", "sector_s1": "1.0", **fields}
+    return ",".join(base.get(name, "0.0") for name in artifacts.FEATURES.header)
+
+
+FEATURE_ROW = feature_line()
+GOOD_LINES = {
+    "signed.csv": (artifacts.SIGNED, SIGNED_ROW),
+    "clean.csv": (artifacts.CLEAN, CLEAN_ROW),
+    "spreads.csv": (artifacts.SPREADS, SPREAD_ROW),
+    "features.csv": (artifacts.FEATURES, FEATURE_ROW),
+}
+# (artifact, a bad third line after one good row, the stage that reads it, the
+# column named in the error or None)
 MALFORMED_ARTIFACTS = {
     "short_signed_row": (
-        "signed.csv", artifacts.SIGNED_HEADER, "A,1,2015-01-05 10:01:00,100.0",
-        ["report", "--signed", "signed.csv"],
+        "signed.csv", "A,1,2015-01-05 10:01:00,100.0", ["report", "--signed", "signed.csv"], None,
     ),
     "non_numeric_price": (
-        "signed.csv", artifacts.SIGNED_HEADER, SIGNED_ROW.replace("100.0", "abc"),
-        ["report", "--signed", "signed.csv"],
+        "signed.csv", SIGNED_ROW.replace("100.0", "abc"), ["report", "--signed", "signed.csv"],
+        "price",
     ),
     "bad_timestamp": (
-        "signed.csv", artifacts.SIGNED_HEADER, SIGNED_ROW.replace("2015-01-05", "2015-13-45"),
-        ["spread", "--signed", "signed.csv"],
+        "signed.csv", SIGNED_ROW.replace("2015-01-05", "2015-13-45"),
+        ["spread", "--signed", "signed.csv"], "timestamp",
     ),
     "short_clean_row": (
-        "clean.csv", artifacts.CLEAN_HEADER, CLEAN_ROW.rsplit(",", 1)[0],
-        ["classify", "--clean", "clean.csv"],
+        "clean.csv", CLEAN_ROW.rsplit(",", 1)[0], ["classify", "--clean", "clean.csv"], None,
     ),
     "short_features_row": (
-        "features.csv", artifacts.FEATURE_HEADER, "A,2015-W02,1.0",
-        ["fit", "--features", "features.csv"],
+        "features.csv", "A,2015-W02,1.0", ["fit", "--features", "features.csv"], None,
+    ),
+    "nan_price": (
+        "signed.csv", SIGNED_ROW.replace("100.0", "nan"), ["report", "--signed", "signed.csv"],
+        "price",
+    ),
+    "inf_feature": (
+        "features.csv", feature_line(volatility="inf"), ["fit", "--features", "features.csv"],
+        "volatility",
+    ),
+    "overflowing_mid": (
+        "spreads.csv", SPREAD_ROW.replace("100.0", "1e999"),
+        ["impact", "--signed", "signed.csv", "--spreads", "spreads.csv", "--min-events", 0], "mid",
+    ),
+    "unknown_leg": (
+        "clean.csv", CLEAN_ROW.replace("dealer_dealer", "bogus_leg"),
+        ["classify", "--clean", "clean.csv"], "leg",
+    ),
+    "epsilon_out_of_range": (
+        "signed.csv", SIGNED_ROW.replace("dealer_dealer,0,0", "dealer_dealer,7,0"),
+        ["spread", "--signed", "signed.csv"], "epsilon",
+    ),
+    "is_rpt_out_of_range": (
+        "signed.csv", SIGNED_ROW.replace("dealer_dealer,0,0", "dealer_dealer,0,3"),
+        ["report", "--signed", "signed.csv"], "is_rpt",
+    ),
+    "utc_offset_timestamp": (
+        "signed.csv", SIGNED_ROW.replace("10:00:00", "10:01:00+01:00"),
+        ["spread", "--signed", "signed.csv"], "timestamp",
+    ),
+    "no_sector_indicator": (
+        "features.csv", feature_line(sector_s1="0.0"), ["fit", "--features", "features.csv"], None,
     ),
 }
 
 
 @pytest.mark.parametrize(
-    "name, header, bad_line, argv", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS
+    "name, bad_line, argv, column", MALFORMED_ARTIFACTS.values(), ids=MALFORMED_ARTIFACTS
 )
-def test_malformed_artifact_row_exit_3(workdir, capsys, name, header, bad_line, argv):
-    good_line = {"signed.csv": SIGNED_ROW, "clean.csv": CLEAN_ROW, "features.csv": FEATURE_ROW}[name]
-    Path(name).write_text("\n".join([",".join(header), good_line, bad_line]) + "\n")
+def test_malformed_artifact_row_exit_3(workdir, capsys, name, bad_line, argv, column):
+    # impact reads a good signed.csv before the spreads under test
+    for path in {"signed.csv", name}:
+        artifact, good_line = GOOD_LINES[path]
+        lines = [",".join(artifact.header), good_line] + ([bad_line] if path == name else [])
+        Path(path).write_text("\n".join(lines) + "\n")
     assert run(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     error = json.loads(err[0])
     assert error["error"] == "ParseError"
     assert name in error["message"] and "row 3" in error["message"]
+    if column is not None:
+        assert f"column {column!r}" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -176,10 +176,9 @@ class TestFeatureMatrix:
     def test_indicators_one_hot(self):
         trades = [make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
         [row] = self.build(trades)
-        m = row.as_mapping()
-        assert m["ind_hy"] + m["ind_ig"] == 1.0
-        assert sum(m[f"sector_s{i}"] for i in range(1, 10)) == 1.0
-        assert m["sector_s3"] == 1.0
+        assert row.ind_hy + row.ind_ig == 1.0
+        assert sum(getattr(row, f"sector_s{i}") for i in range(1, 10)) == 1.0
+        assert row.sector_s3 == 1.0
 
     def test_volume_scaling_property(self):
         trades = [

@@ -79,11 +79,6 @@ class TestParse:
         assert reports[0].leg == "dealer_dealer"
         assert reports[0].customer_side is None
 
-    def test_schema_rename(self):
-        raw = tape_csv([trade_row("A")]).decode().replace("record_id", "msg_id")
-        reports = parse_trace_csv(raw.encode(), schema={"record_id": "msg_id"})
-        assert reports[0].record_id == "A"
-
     def test_comment_lines_skipped(self):
         data = b"# meta line\n" + tape_csv([trade_row("A")])
         assert len(parse_trace_csv(data)) == 1

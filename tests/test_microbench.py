@@ -1,0 +1,69 @@
+"""Micro-benchmarks of the per-row layers on a tape of dealer-heavy scale.
+
+Nine bonds of 7,500 trades each (67,500 rows, as in the dealer-heavy
+benchmark workload): one trade in three is inter-dealer, and about half of
+the trades sit in equal-volume pairs that classify as RPT candidates.
+"""
+
+import random
+
+import pytest
+
+from bondtca import artifacts
+from bondtca.classify import classify_bond
+from bondtca.microstructure import estimate_spreads
+
+from conftest import make_clean, ts
+
+BONDS, TRADES_PER_BOND = 9, 7_500
+LEGS = ("customer_buy", "customer_sell", "dealer_dealer")
+
+
+def clean_bond(cusip, rng):
+    trades, volume = [], 0.0
+    for k in range(TRADES_PER_BOND):
+        if k % 2 == 0 or rng.random() < 0.5:  # odd trades repeat the last volume half the time
+            volume = rng.choice([50_000.0, 100_000.0, 250_000.0, rng.uniform(1e4, 2e6)])
+        trades.append(
+            make_clean(
+                k=k, cusip=cusip, timestamp=ts(30.0 * k), price=100.0 + rng.gauss(0.0, 0.5),
+                volume=volume, leg=rng.choice(LEGS),
+            )
+        )
+    return trades
+
+
+@pytest.fixture(scope="module")
+def tape():
+    rng = random.Random(0)
+    clean = [clean_bond(f"BOND{b:05d}", rng) for b in range(BONDS)]
+    signed = [t for bond in clean for t in classify_bond(bond)]
+    return clean[0], signed
+
+
+def test_read_signed_trades_benchmark(benchmark, tape, tmp_path):
+    _, signed = tape
+    path = tmp_path / "signed.csv"
+    artifacts.write_signed_trades(path, signed)
+    rows = benchmark.pedantic(artifacts.read_signed_trades, args=(path,), rounds=3, iterations=1)
+    assert rows == signed
+
+
+def test_write_signed_trades_benchmark(benchmark, tape, tmp_path):
+    _, signed = tape
+    path = tmp_path / "signed.csv"
+    benchmark.pedantic(artifacts.write_signed_trades, args=(path, signed), rounds=3, iterations=1)
+    assert len(path.read_text().splitlines()) == len(signed) + 2
+
+
+def test_classify_bond_benchmark(benchmark, tape):
+    bond, _ = tape
+    signed = benchmark.pedantic(classify_bond, args=(bond,), rounds=5, iterations=1)
+    assert 0 < sum(t.is_rpt for t in signed) < len(bond)
+
+
+def test_estimate_spreads_benchmark(benchmark, tape):
+    _, signed = tape
+    bond = signed[:TRADES_PER_BOND]
+    obs = benchmark.pedantic(estimate_spreads, args=(bond,), rounds=5, iterations=1)
+    assert obs

@@ -172,10 +172,10 @@ class TestTraceFixture:
     def test_reference_and_context_cover_bonds_and_weeks(self):
         cfg = SynthConfig(seed=10, n_events=200, n_bonds=3)
         refs = reference_rows(cfg)
-        assert [r["cusip"] for r in refs] == ["SYN00000X", "SYN00001X", "SYN00002X"]
+        assert [r.cusip for r in refs] == ["SYN00000X", "SYN00001X", "SYN00002X"]
         from bondtca.calendars import IsoWeek
 
         weeks = [IsoWeek(2015, w) for w in range(2, 6)]
         ctx = market_context_rows(cfg, weeks)
         assert len(ctx) == 4
-        assert all(0.0 < r["libor_ois"] < 1.0 for r in ctx)
+        assert all(0.0 < r.libor_ois < 1.0 for r in ctx)
