@@ -5,7 +5,8 @@ seed) so outputs are self-describing yet byte-reproducible: no timestamps
 or absolute paths are ever written. Each CSV artifact is declared once, as
 an ordered list of columns that map in order onto the fields of its row
 type; one reader and one writer serve them all. CSV readers skip '#'
-comment lines.
+comment lines before the header; after it, every line is a row, so a field
+may begin with '#'.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0:
+        raise ValueError(f"non-positive number {text!r}")
+    return value
+
+
 def _optional_finite(text: str) -> float | None:
     return None if text == "" else _finite(text)
 
@@ -122,13 +130,16 @@ _int_text = "%d".__mod__  # str(int(value)), for bools and numpy integers too
 TEXT = Codec(str, str)
 INT = Codec(int, _int_text)
 FLOAT = Codec(_finite, _float_text)  # NaN, infinities and overflow are rejected
+POSITIVE_FLOAT = Codec(_positive, _float_text)
 OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
 TIMESTAMP = Codec(_naive_timestamp, methodcaller("isoformat", " "))  # no UTC offset
 DATE = Codec(dt.date.fromisoformat, dt.date.isoformat)
 WEEK = Codec(IsoWeek.parse, attrgetter("label"))
 LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
 
-CLEAN = _csv(CleanTrade, cusip=TEXT, k=INT, timestamp=TIMESTAMP, price=FLOAT, volume=FLOAT, leg=LEG)
+CLEAN = _csv(
+    CleanTrade, cusip=TEXT, k=INT, timestamp=TIMESTAMP, price=POSITIVE_FLOAT, volume=FLOAT, leg=LEG
+)
 SIGNED = _csv(
     SignedTrade,
     **CLEAN.columns,
@@ -190,7 +201,7 @@ def _read(path: str | Path, artifact: CsvArtifact) -> Iterator:
             raise ParseError(f"{path}: unexpected header {header}")
         width = len(header)
         for row in reader:
-            if not row or row[0].startswith("#"):
+            if not row:
                 continue
             if len(row) != width:
                 raise ParseError(

@@ -28,12 +28,14 @@ class IsoWeek(NamedTuple):
 
     @classmethod
     def parse(cls, label: str) -> "IsoWeek":
-        # Accepts "2015-W03" or "2015W03".
+        # Accepts "2015-W03" or "2015W03", for a week that exists: 2015 has
+        # no week 99 and 2016 no week 53.
         try:
             year, _, week = label.upper().partition("W")
-            return cls(int(year.rstrip("-")), int(week))
+            monday = dt.date.fromisocalendar(int(year.rstrip("-")), int(week), 1)
         except ValueError as exc:
             raise ConfigError(f"bad ISO week label {label!r}, expected YYYY-Www") from exc
+        return cls.of(monday)
 
     @property
     def label(self) -> str:

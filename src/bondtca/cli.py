@@ -12,7 +12,6 @@ built-in default. Errors exit with code 2 (config), 3 (data) or 4
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import json
 import math
 import sys
@@ -197,15 +196,8 @@ def cmd_generate(args) -> None:
     tape, manifest = generate_trace_fixture(config, _calendar(args))
     args.out_tape.write_bytes(tape)
     artifacts.write_json(args.out_manifest, manifest.to_json_obj(), _meta(args))
-
-    events_per_day = (config.day_end_second - config.day_start_second) // config.trade_spacing_seconds + 1
-    n_days = -(-config.n_events // events_per_day) + 10  # ceil plus margin
-    n_weeks = -(-n_days * 7 // 5) // 7 + 4
-    weeks = sorted(
-        {IsoWeek.of(config.start_date + dt.timedelta(days=7 * i)) for i in range(n_weeks)}
-    )
     artifacts.write_bond_references(args.out_reference, reference_rows(config), _meta(args))
-    artifacts.write_market_context(args.out_context, market_context_rows(config, weeks), _meta(args))
+    artifacts.write_market_context(args.out_context, market_context_rows(config), _meta(args))
     print(f"wrote {args.out_tape} ({config.n_bonds} bonds, {config.n_events} events each)")
 
 

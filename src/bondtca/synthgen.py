@@ -14,14 +14,14 @@ Randomness is a counter-based Philox stream split per bond and per concern
 from __future__ import annotations
 
 import datetime as dt
-import io
+import itertools
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .calendars import BusinessCalendar
+from .calendars import BusinessCalendar, IsoWeek
 from .errors import ConfigError
 from .features import BondReference, MarketContext
 from .impact import SignSeries
@@ -44,8 +44,8 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel family {self.family!r}")
         if not all(math.isfinite(v) for v in (self.g0, self.beta, self.gamma)):
             raise ConfigError("kernel parameters must be finite")
-        if self.g0 < 0:
-            raise ConfigError("kernel g0 must be >= 0")
+        if min(self.g0, self.beta, self.gamma) < 0:  # a negative decay grows without bound
+            raise ConfigError("kernel g0, beta and gamma must be >= 0")
 
     def values(self, n: int) -> np.ndarray:
         j = np.arange(n, dtype=float)
@@ -122,6 +122,14 @@ class SynthConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
+        if self.trade_spacing_seconds < 1 or self.day_end_second < self.day_start_second:
+            raise ConfigError("need trade_spacing_seconds >= 1, day_end_second >= day_start_second")
+
+    @property
+    def slots_per_day(self) -> int:
+        """Event slots per business day: every ``trade_spacing_seconds`` from
+        ``day_start_second`` to ``day_end_second``, both ends included."""
+        return (self.day_end_second - self.day_start_second) // self.trade_spacing_seconds + 1
 
     def kernel_for(self, pi: int) -> KernelSpec:
         if pi == -1 and self.kernel_sell is not None:
@@ -266,257 +274,159 @@ def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignS
     return series, manifest
 
 
-@dataclass
-class _Row:
-    record_id: str
-    cusip: str
-    timestamp: dt.datetime
-    price: float
-    volume: float
-    kind: str
-    references: str
-    capacity: str
-    contra: str
-    side: str
-    condition: str
-    sub_product: str
+def _business_days(config: SynthConfig, calendar: BusinessCalendar) -> Iterator[dt.date]:
+    """The business days from ``config.start_date`` on."""
+    day = config.start_date
+    while True:
+        if calendar.is_business_day(day):
+            yield day
+        day += dt.timedelta(days=1)
 
 
-class _Clock:
-    """Deterministic per-bond event clock over business days."""
+def _slot_times(config: SynthConfig, calendar: BusinessCalendar) -> np.ndarray:
+    """The time of each event slot, as ``datetime64[s]``.
 
-    def __init__(self, config: SynthConfig, calendar: BusinessCalendar):
-        self.config = config
-        self.calendar = calendar
-        self.day = config.start_date
-        while not calendar.is_business_day(self.day):
-            self.day += dt.timedelta(days=1)
-        self.second = config.day_start_second
-
-    def next_timestamp(self) -> dt.datetime:
-        if self.second > self.config.day_end_second:
-            self.day += dt.timedelta(days=1)
-            while not self.calendar.is_business_day(self.day):
-                self.day += dt.timedelta(days=1)
-            self.second = self.config.day_start_second
-        ts = dt.datetime.combine(self.day, dt.time(0)) + dt.timedelta(seconds=self.second)
-        self.second += self.config.trade_spacing_seconds
-        return ts
+    Each business day has ``slots_per_day`` slots, ``trade_spacing_seconds``
+    apart from ``day_start_second``; event ``k`` takes slot ``k``.
+    """
+    per_day = config.slots_per_day
+    n_days = -(-config.n_events // per_day)
+    days = np.array(list(itertools.islice(_business_days(config, calendar), n_days)), "M8[s]")
+    k = np.arange(config.n_events)
+    seconds = config.day_start_second + (k % per_day) * config.trade_spacing_seconds
+    return days[k // per_day] + seconds.astype("timedelta64[s]")
 
 
-def _mid_to_price(config: SynthConfig, mid_bp: float) -> float:
-    return config.base_price * (1.0 + mid_bp / 1e4)
+def _stamps(times: np.ndarray, sep: str) -> np.ndarray:
+    """``YYYY-MM-DD<sep>HH:MM:SS`` for each time."""
+    text = np.datetime_as_string(times, unit="s")
+    return np.char.replace(text, "T", sep) if text.size else text  # fails on an empty array
 
 
-def _tape_rows_for_bond(
-    config: SynthConfig,
-    bond_index: int,
-    calendar: BusinessCalendar,
-    manifest: SynthManifest,
-) -> list[_Row]:
+# who traded a row, as the tape's contra and side columns: an RPT's dealer half,
+# a customer sell, a customer buy
+_COUNTERPARTY = np.array(["dealer,", "customer,customer_sell", "customer,customer_buy"])
+_LIFECYCLE_KINDS = np.array(["cancel", "correction", "reversal"])
+
+
+def _bond_tape(
+    config: SynthConfig, bond_index: int, times: np.ndarray, manifest: SynthManifest
+) -> str:
+    """One bond's tape lines: its trades with each RPT's dealer half right
+    after its customer trade, then its lifecycle records."""
     series, _ = generate_tim_series(config, bond_index)
     plant_rng = _bond_rng(config, bond_index, concern=1)
     cusip = series.cusip
-    clock = _Clock(config, calendar)
+    buy = series.epsilon > 0
+    mid_price = config.base_price * (1.0 + series.mid / 1e4)
     half_price = config.base_price * config.half_spread_bp / 1e4
+    customer_price = mid_price + np.where(buy, half_price, -half_price)  # buys at the ask
+    rpt = plant_rng.random(series.t) < config.rpt_fraction
 
-    rows: list[_Row] = []
-    rpt_partner_of: dict[int, int] = {}  # base row position -> partner position
-    seq = 0
+    # one row per trade, two per RPT: the customer trade, then the dealer
+    # half at the mid, 1 s later
+    event = np.repeat(np.arange(series.t), np.where(rpt, 2, 1))
+    dealer = np.r_[False, event[1:] == event[:-1]]
+    row_times = times[event] + dealer.astype("m8[s]")
+    price = np.where(dealer, mid_price[event], customer_price[event])
+    volume = series.volume[event]
+    parties = _COUNTERPARTY[np.where(dealer, 0, 1 + buy[event])].tolist()
 
-    def rid() -> str:
-        nonlocal seq
-        seq += 1
-        return f"{cusip}-{seq:08d}"
+    # lifecycle records point at non-RPT customer trades only, so the
+    # planted-pair accounting stays exact after reconciliation
+    eligible = np.flatnonzero(~rpt[event])
+    draws = plant_rng.random(eligible.size)
+    hit = draws < config.cancel_rate + config.correction_rate + config.reversal_rate
+    base = eligible[hit]
+    # the index into _LIFECYCLE_KINDS of the rate band that holds the draw
+    bands = [config.cancel_rate, config.cancel_rate + config.correction_rate]
+    kind = np.digitize(draws[hit], bands)
+    correction = _LIFECYCLE_KINDS[kind] == "correction"
+    for name, n in zip(_LIFECYCLE_KINDS.tolist(), np.bincount(kind, minlength=3).tolist()):
+        if n:
+            key = f"{name}s"
+            manifest.lifecycle_counts[key] = manifest.lifecycle_counts.get(key, 0) + n
 
-    plant_draws = plant_rng.random(series.t)
-    for k in range(series.t):
-        ts = clock.next_timestamp()
-        mid_price = _mid_to_price(config, series.mid[k])
-        buy = series.epsilon[k] > 0
-        rows.append(
-            _Row(
-                record_id=rid(),
-                cusip=cusip,
-                timestamp=ts,
-                price=mid_price + (half_price if buy else -half_price),
-                volume=float(series.volume[k]),
-                kind="trade",
-                references="",
-                capacity="principal",
-                contra="customer",
-                side="customer_buy" if buy else "customer_sell",
-                condition="",
-                sub_product="corporate_bond",
-            )
-        )
-        if plant_draws[k] < config.rpt_fraction:
-            base_pos = len(rows) - 1
-            rows.append(
-                _Row(
-                    record_id=rid(),
-                    cusip=cusip,
-                    timestamp=ts + dt.timedelta(seconds=1),
-                    price=mid_price,
-                    volume=float(series.volume[k]),
-                    kind="trade",
-                    references="",
-                    capacity="principal",
-                    contra="dealer",
-                    side="",
-                    condition="",
-                    sub_product="corporate_bond",
-                )
-            )
-            rpt_partner_of[base_pos] = len(rows) - 1
-
-    # Lifecycle records reference base trades that are not RPT halves, so the
-    # planted-pair accounting stays exact after reconciliation.
-    protected = set(rpt_partner_of) | set(rpt_partner_of.values())
-    eligible = [i for i in range(len(rows)) if i not in protected]
-    lifecycle: list[_Row] = []
-    removed: set[int] = set()
-    corrected: dict[int, float] = {}
-    draws = plant_rng.random(len(eligible))
-    total = config.cancel_rate + config.correction_rate + config.reversal_rate
-    for pos, d in zip(eligible, draws):
-        if total == 0.0 or d >= total:
-            continue
-        base = rows[pos]
-        if d < config.cancel_rate:
-            kind = "cancel"
-            removed.add(pos)
-        elif d < config.cancel_rate + config.correction_rate:
-            kind = "correction"
-            corrected[pos] = base.price + 0.01
-        else:
-            kind = "reversal"
-            removed.add(pos)
-        lifecycle.append(
-            _Row(
-                record_id=rid(),
-                cusip=cusip,
-                timestamp=base.timestamp,
-                price=corrected.get(pos, base.price),
-                volume=base.volume,
-                kind=kind,
-                references=base.record_id,
-                capacity=base.capacity,
-                contra=base.contra,
-                side=base.side,
-                condition=base.condition,
-                sub_product=base.sub_product,
-            )
-        )
-        key = f"{kind}s"
-        manifest.lifecycle_counts[key] = manifest.lifecycle_counts.get(key, 0) + 1
-
-    # Planted-pair bookkeeping with ambiguity flags on the surviving sequence.
-    surviving = [i for i in range(len(rows)) if i not in removed]
-    pos_in_surviving = {orig: j for j, orig in enumerate(surviving)}
-    volumes = [rows[i].volume for i in surviving]
-    run_id = [0] * len(surviving)
-    rid_counter = 0
-    for j in range(1, len(surviving)):
-        if volumes[j] != volumes[j - 1]:
-            rid_counter += 1
-        run_id[j] = rid_counter
-    run_sizes: dict[int, int] = {}
-    for r in run_id:
-        run_sizes[r] = run_sizes.get(r, 0) + 1
-
-    for base_pos, partner_pos in sorted(rpt_partner_of.items()):
-        a = pos_in_surviving[base_pos]
-        b = pos_in_surviving[partner_pos]
-        ambiguous = not (
-            b == a + 1 and run_id[a] == run_id[b] and run_sizes[run_id[a]] == 2
-        )
-        manifest.planted_rpts.append(
-            PlantedRpt(
-                cusip=cusip,
-                base_timestamp=rows[base_pos].timestamp.isoformat(sep=" "),
-                partner_timestamp=rows[partner_pos].timestamp.isoformat(sep=" "),
-                volume=rows[base_pos].volume,
-                ambiguous=ambiguous,
-            )
-        )
-    manifest.events_per_type["+1"] = manifest.events_per_type.get("+1", 0) + int(
-        (series.epsilon == 1).sum()
+    # a planted pair is ambiguous unless its two rows form a size run of their
+    # own among the rows that survive cancels and reversals
+    survives = np.ones(event.size, bool)
+    survives[base[~correction]] = False
+    kept_volume = volume[survives]
+    run = np.cumsum(np.r_[False, kept_volume[1:] != kept_volume[:-1]])
+    pairs = np.flatnonzero(dealer) - 1
+    ambiguous = np.bincount(run)[run[np.cumsum(survives)[pairs] - 1]] != 2
+    stamp = _stamps(row_times[np.c_[pairs, pairs + 1]], " ")
+    manifest.planted_rpts += map(
+        PlantedRpt, itertools.repeat(cusip), stamp[:, 0].tolist(), stamp[:, 1].tolist(),
+        volume[pairs].tolist(), ambiguous.tolist(),
     )
-    manifest.events_per_type["-1"] = manifest.events_per_type.get("-1", 0) + int(
-        (series.epsilon == -1).sum()
-    )
-    return rows + lifecycle
+    for pi, key in ((1, "+1"), (-1, "-1")):
+        n = int((series.epsilon == pi).sum())
+        manifest.events_per_type[key] = manifest.events_per_type.get(key, 0) + n
+
+    stamps = _stamps(row_times, ",").tolist()
+    prices = price.tolist()
+    volumes = volume.tolist()
+    lines = [
+        f"{cusip}-{seq:08d},{cusip},{t},{p!r},{v!r},trade,,principal,{w},,corporate_bond\n"
+        for seq, t, p, v, w in zip(itertools.count(1), stamps, prices, volumes, parties)
+    ]
+    corrected = np.where(correction, price[base] + 0.01, price[base])
+    lines += [
+        f"{cusip}-{seq:08d},{cusip},{stamps[b]},{p!r},{volumes[b]!r},{name},{cusip}-{b + 1:08d},"
+        f"principal,{parties[b]},,corporate_bond\n"
+        for seq, b, p, name in zip(
+            itertools.count(event.size + 1), base.tolist(), corrected.tolist(),
+            _LIFECYCLE_KINDS[kind].tolist(),
+        )
+    ]
+    return "".join(lines)
 
 
-def _violation_rows(config: SynthConfig, calendar: BusinessCalendar) -> list[_Row]:
-    """Extra reports violating exactly one filter step each."""
-    out: list[_Row] = []
-    base_day = config.start_date
-    while not calendar.is_business_day(base_day):
-        base_day += dt.timedelta(days=1)
-    weekend = base_day
-    while weekend.weekday() != 5:  # next Saturday
-        weekend += dt.timedelta(days=1)
-    in_session = dt.datetime.combine(base_day, dt.time(11, 0, 0))
+def _violation_lines(config: SynthConfig, calendar: BusinessCalendar) -> str:
+    """Extra reports on the first business day, each violating exactly one
+    filter step: the step's line template after the record id and cusip."""
+    day = next(_business_days(config, calendar))
+    saturday = day + dt.timedelta(days=5 - day.weekday())
+    buy = "10000.0,trade,,principal,customer,customer_buy"  # volume to side of a customer buy
     templates = {
-        "2": dict(capacity="agent", contra="dealer", side="", timestamp=in_session),
-        "3": dict(timestamp=dt.datetime.combine(weekend, dt.time(11, 0, 0))),
-        "4": dict(timestamp=dt.datetime.combine(base_day, dt.time(7, 0, 0))),
-        "5": dict(condition="W", timestamp=in_session),
-        "6": dict(price=5.0, timestamp=in_session),
-        "7": dict(sub_product="other", timestamp=in_session),
+        "2": f"{day},11:00:00,100.0,10000.0,trade,,agent,dealer,,,corporate_bond",  # agent
+        "3": f"{saturday},11:00:00,100.0,{buy},,corporate_bond",  # weekend
+        "4": f"{day},07:00:00,100.0,{buy},,corporate_bond",  # before the session
+        "5": f"{day},11:00:00,100.0,{buy},W,corporate_bond",  # a sale condition
+        "6": f"{day},11:00:00,5.0,{buy},,corporate_bond",  # a price below the floor
+        "7": f"{day},11:00:00,100.0,{buy},,other",  # another sub-product
     }
-    seq = 0
-    for step, count in sorted(config.filter_violations.items()):
-        if str(step) not in templates:
-            raise ConfigError(f"cannot plant violations for step {step!r}")
-        for _ in range(int(count)):
-            seq += 1
-            base = dict(
-                record_id=f"VIO-{step}-{seq:06d}",
-                cusip=_bond_cusip(0),
-                timestamp=in_session,
-                price=100.0,
-                volume=10_000.0,
-                kind="trade",
-                references="",
-                capacity="principal",
-                contra="customer",
-                side="customer_buy",
-                condition="",
-                sub_product="corporate_bond",
-            )
-            base.update(templates[str(step)])
-            out.append(_Row(**base))
-    return out
+    if unknown := sorted(str(s) for s in config.filter_violations if str(s) not in templates):
+        raise ConfigError(f"cannot plant violations for step {unknown[0]!r}")
+    steps = [s for s, count in sorted(config.filter_violations.items()) for _ in range(int(count))]
+    cusip = _bond_cusip(0)
+    return "".join(
+        f"VIO-{step}-{seq:06d},{cusip},{templates[str(step)]}\n"
+        for seq, step in enumerate(steps, start=1)
+    )
 
 
 def generate_trace_fixture(
     config: SynthConfig, calendar: BusinessCalendar | None = None
 ) -> tuple[bytes, SynthManifest]:
-    """Render the synthetic market as a trade-tape CSV plus its manifest."""
+    """Render the synthetic market as a trade-tape CSV plus its manifest.
+
+    Each bond's trades and lifecycle records come in bond order, then the
+    filter-step violations.
+    """
     calendar = calendar or BusinessCalendar()
     manifest = _manifest_with_truth(config)
     manifest.filter_violations = {str(k): int(v) for k, v in config.filter_violations.items()}
     manifest.grades = {
         _bond_cusip(i): ("IG" if i % 2 == 0 else "HY") for i in range(config.n_bonds)
     }
-
-    rows: list[_Row] = []
-    for bond in range(config.n_bonds):
-        rows.extend(_tape_rows_for_bond(config, bond, calendar, manifest))
-    rows.extend(_violation_rows(config, calendar))
-
-    buf = io.StringIO()
-    buf.write(",".join(TAPE_COLUMNS) + "\n")
-    for r in rows:
-        buf.write(
-            f"{r.record_id},{r.cusip},{r.timestamp.date().isoformat()},"
-            f"{r.timestamp.time().isoformat()},{float(r.price)!r},{float(r.volume)!r},{r.kind},"
-            f"{r.references},{r.capacity},{r.contra},{r.side},{r.condition},{r.sub_product}\n"
-        )
-    return buf.getvalue().encode("utf-8"), manifest
+    violations = _violation_lines(config, calendar)
+    times = _slot_times(config, calendar)
+    parts = [",".join(TAPE_COLUMNS) + "\n"]
+    parts += [_bond_tape(config, bond, times, manifest) for bond in range(config.n_bonds)]
+    parts.append(violations)
+    return "".join(parts).encode("utf-8"), manifest
 
 
 def reference_rows(config: SynthConfig) -> list[BondReference]:
@@ -536,6 +446,14 @@ def reference_rows(config: SynthConfig) -> list[BondReference]:
     ]
 
 
-def market_context_rows(config: SynthConfig, weeks: Sequence) -> list[MarketContext]:
-    """A deterministic, mildly varying short-rate spread per week."""
-    return [MarketContext(w, round(0.15 + 0.01 * (i % 10), 4)) for i, w in enumerate(weeks)]
+def market_context_rows(config: SynthConfig) -> list[MarketContext]:
+    """A deterministic, mildly varying short-rate spread per week, over the
+    weeks of the slot grid plus a margin."""
+    n_days = -(-config.n_events // config.slots_per_day) + 10  # ceil plus margin
+    n_weeks = -(-n_days * 7 // 5) // 7 + 4
+    return [
+        MarketContext(
+            IsoWeek.of(config.start_date + dt.timedelta(weeks=i)), round(0.15 + 0.01 * (i % 10), 4)
+        )
+        for i in range(n_weeks)
+    ]

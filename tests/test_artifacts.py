@@ -20,12 +20,12 @@ DECLARATIONS = {
 }
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # any magnitude, -0.0, subnormals
-# a field that opens a line with '#' would read back as a comment line
-CUSIP = st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, max_size=9)
+CUSIP = st.text(alphabet="#ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, max_size=9)
 BY_CODEC = {
     artifacts.TEXT: CUSIP,
     artifacts.INT: st.integers(),
     artifacts.FLOAT: FINITE,
+    artifacts.POSITIVE_FLOAT: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     artifacts.OPTIONAL_FLOAT: st.none() | FINITE,
     artifacts.TIMESTAMP: st.datetimes(),
     artifacts.DATE: st.dates(),

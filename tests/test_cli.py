@@ -9,6 +9,7 @@ import pytest
 
 from bondtca import artifacts
 from bondtca.cli import main
+from conftest import tape_csv, trade_row
 
 
 def run(args):
@@ -209,6 +210,8 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv", "--k-folds", -2], None),
     (["generate", "--events", 300, "--seed", -1], None),
     (["fit", "--features", "features.csv"], {"fit": {"seed": -1}}),
+    (["fit", "--features", "features.csv", "--train-range", "2015-W99:2016-W01"], None),
+    (["generate", "--events", 300, "--kernel-beta", -1], None),
 ]
 
 
@@ -295,6 +298,14 @@ MALFORMED_ARTIFACTS = {
     "no_sector_indicator": (
         "features.csv", feature_line(sector_s1="0.0"), ["fit", "--features", "features.csv"], None,
     ),
+    "zero_price": (
+        "signed.csv", SIGNED_ROW.replace("100.0", "0.0"), ["report", "--signed", "signed.csv"],
+        "price",
+    ),
+    "week_that_does_not_exist": (
+        "features.csv", feature_line(iso_week="2015-W99"), ["fit", "--features", "features.csv"],
+        "iso_week",
+    ),
 }
 
 
@@ -315,6 +326,20 @@ def test_malformed_artifact_row_exit_3(workdir, capsys, name, bad_line, argv, co
     assert name in error["message"] and "row 3" in error["message"]
     if column is not None:
         assert f"column {column!r}" in error["message"]
+
+
+def test_cusip_beginning_with_hash_is_a_row(workdir, capsys):
+    # only the lines before an artifact's header are comment lines
+    rows = [
+        trade_row(f"R{i}", cusip=("PLAIN", "#HASH")[i % 2], time=f"10:0{i}:00", volume=50_000.0 + i)
+        for i in range(6)
+    ]
+    Path("tape.csv").write_bytes(tape_csv(rows))
+    assert run(["ingest", "--tape", "tape.csv"]) == 0
+    assert run(["classify", "--clean", "clean.csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ingested 6 reports -> 6 clean trades", "classified 6 trades, 0 RPT legs",
+    ]
 
 
 @pytest.mark.parametrize(

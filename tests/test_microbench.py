@@ -2,7 +2,8 @@
 
 Nine bonds of 7,500 trades each (67,500 rows, as in the dealer-heavy
 benchmark workload): one trade in three is inter-dealer, and about half of
-the trades sit in equal-volume pairs that classify as RPT candidates.
+the trades sit in equal-volume pairs that classify as RPT candidates. The
+generator runs on dealer-heavy's own generate settings.
 """
 
 import random
@@ -12,6 +13,7 @@ import pytest
 from bondtca import artifacts
 from bondtca.classify import classify_bond
 from bondtca.microstructure import estimate_spreads
+from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
 from conftest import make_clean, ts
 
@@ -67,3 +69,15 @@ def test_estimate_spreads_benchmark(benchmark, tape):
     bond = signed[:TRADES_PER_BOND]
     obs = benchmark.pedantic(estimate_spreads, args=(bond,), rounds=5, iterations=1)
     assert obs
+
+
+def test_generate_trace_fixture_benchmark(benchmark):
+    config = SynthConfig(
+        seed=5, n_events=5_000, n_bonds=9, rpt_fraction=0.5, cancel_rate=0.005,
+        correction_rate=0.002,
+    )
+    tape, manifest = benchmark.pedantic(
+        generate_trace_fixture, args=(config,), rounds=3, iterations=1
+    )
+    lifecycle = sum(manifest.lifecycle_counts.values())
+    assert tape.count(b"\n") == 1 + 9 * 5_000 + len(manifest.planted_rpts) + lifecycle

@@ -1,10 +1,13 @@
+import datetime as dt
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve
 
-from bondtca.calendars import BusinessCalendar
+from bondtca.calendars import BusinessCalendar, IsoWeek
 from bondtca.errors import ConfigError
 from bondtca.impact import empirical_signature, estimate_correlation, estimate_response
 from bondtca.ingest import parse_trace_csv
@@ -34,7 +37,7 @@ class TestKernelSpec:
         assert np.allclose(KernelSpec("constant", 7.0).values(5), 7.0)
 
     @pytest.mark.parametrize("field", ["g0", "beta", "gamma"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_non_finite_parameter_rejected(self, field, value):
         with pytest.raises(ConfigError):
             KernelSpec("exponential", **{"g0": 25.0, field: value})
@@ -173,9 +176,62 @@ class TestTraceFixture:
         cfg = SynthConfig(seed=10, n_events=200, n_bonds=3)
         refs = reference_rows(cfg)
         assert [r.cusip for r in refs] == ["SYN00000X", "SYN00001X", "SYN00002X"]
-        from bondtca.calendars import IsoWeek
-
-        weeks = [IsoWeek(2015, w) for w in range(2, 6)]
-        ctx = market_context_rows(cfg, weeks)
-        assert len(ctx) == 4
+        # 200 events fill one day of the slot grid: with ten days of margin,
+        # 11 business days span 2 weeks, and four more weeks of margin make 6
+        ctx = market_context_rows(cfg)
+        assert [r.week for r in ctx] == [IsoWeek(2015, w) for w in range(2, 8)]
         assert all(0.0 < r.libor_ois < 1.0 for r in ctx)
+
+
+PINNED = {  # config, calendar, sha256 of the tape, sha256 of the manifest
+    "rpt_lifecycle_violations_markov": (
+        SynthConfig(
+            seed=21, n_events=1000, n_bonds=2, sign=SignProcess("markov", flip_prob=0.3),
+            alpha=0.5, volume_log_sd=0.1, rpt_fraction=0.2, cancel_rate=0.04,
+            correction_rate=0.04, reversal_rate=0.04,
+            filter_violations={"2": 1, "3": 2, "4": 1, "5": 1, "6": 1, "7": 2},
+        ),
+        BusinessCalendar(),
+        "6e0101f332e90cc4150ba5c290132648eddaa2e97884bd2d33b7e2229395ec1c",
+        "d7e1229bc5fabd6d34e7baaa20e30e397f0481bd4b7ddb4a09a74ce246852b93",
+    ),
+    "holidays_skip_weekdays": (  # the start day and the Wednesday are holidays
+        SynthConfig(seed=22, n_events=1200, rpt_fraction=0.6, filter_violations={"3": 1, "4": 1}),
+        BusinessCalendar(frozenset({dt.date(2015, 1, 5), dt.date(2015, 1, 7)})),
+        "2ef5e52165825952397442552819b6b0ec75dd9c5b0035d2b2c019892f38f0aa",
+        "040f24875893046cdce0e53821cfd237d2e05c22a1ac25ceb1642240b121e5b5",
+    ),
+    "one_event": (
+        SynthConfig(seed=23, n_events=1),
+        BusinessCalendar(),
+        "82c2722016b0f3a512bbc8766e31322a0f617222f5101d38fa151664b12b3352",
+        "6bacbdd05d3e25dc21a86944f7b727f9d9ab7f518be4ebab108068ffc648f1b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("config, calendar, tape_sha, manifest_sha", PINNED.values(), ids=PINNED)
+def test_tape_and_manifest_bytes_are_pinned(config, calendar, tape_sha, manifest_sha):
+    """The digests are those of the tape and the manifest that the row-by-row
+    generator wrote, before the tape was built column by column."""
+    tape, manifest = generate_trace_fixture(config, calendar)
+    assert hashlib.sha256(tape).hexdigest() == tape_sha
+    text = json.dumps(manifest.to_json_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == manifest_sha
+
+
+def test_pinned_configs_cover_every_part_of_the_tape():
+    tape, manifest = generate_trace_fixture(*PINNED["rpt_lifecycle_violations_markov"][:2])
+    assert set(manifest.lifecycle_counts) == {"cancels", "corrections", "reversals"}
+    assert {p.ambiguous for p in manifest.planted_rpts} == {False, True}
+    assert {line.split("-")[1] for line in tape.decode().splitlines() if line.startswith("VIO-")} == {
+        "2", "3", "4", "5", "6", "7"
+    }
+    tape, _ = generate_trace_fixture(*PINNED["holidays_skip_weekdays"][:2])
+    days = {r.timestamp.date() for r in parse_trace_csv(tape) if r.timestamp.weekday() < 5}
+    assert dt.date(2015, 1, 6) in days and days.isdisjoint({dt.date(2015, 1, 5), dt.date(2015, 1, 7)})
+
+
+def test_session_that_ends_before_it_starts_rejected():
+    with pytest.raises(ConfigError):
+        SynthConfig(day_start_second=10 * 3600, day_end_second=9 * 3600)
