@@ -3,8 +3,8 @@
 Every artifact opens with a provenance line (tool version, config hash,
 seed) so outputs are self-describing yet byte-reproducible: no timestamps
 or absolute paths are ever written. Each CSV artifact is declared once, as
-an ordered list of columns that map in order onto the fields of its row
-type; one reader and one writer serve them all. CSV readers skip '#'
+an ordered list of columns that map in order onto the leading fields of
+its row type; one reader and one writer serve them all. CSV readers skip '#'
 comment lines before the header; after it, every line is a row, so a field
 may begin with '#'.
 """
@@ -24,11 +24,10 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import __version__
 from .calendars import IsoWeek
-from .classify import SignedTrade
 from .errors import BondTcaError, NumericalError, ParseError
 from .features import FEATURE_NAMES, BondReference, FeatureRow, MarketContext
 from .impact import ImpactKernel
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, CleanTrade
+from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, Trade
 from .microstructure import OneSidedSpread, SpreadObservation, WeeklySpread
 
 _call = getattr(operator, "call", lambda fn, value: fn(value))  # operator.call: Python 3.11+
@@ -74,7 +73,7 @@ class Codec(NamedTuple):
 
 class CsvArtifact(NamedTuple):
     """A CSV artifact: its header names, each with its codec, in the order of
-    the fields of ``row_type``."""
+    the leading fields of ``row_type``; the other fields keep their defaults."""
 
     row_type: type
     columns: dict[str, Codec]
@@ -138,10 +137,16 @@ WEEK = Codec(IsoWeek.parse, attrgetter("label"))
 LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
 
 CLEAN = _csv(
-    CleanTrade, cusip=TEXT, k=INT, timestamp=TIMESTAMP, price=POSITIVE_FLOAT, volume=FLOAT, leg=LEG
+    Trade,
+    cusip=TEXT,
+    k=INT,
+    timestamp=TIMESTAMP,
+    price=POSITIVE_FLOAT,
+    volume=POSITIVE_FLOAT,
+    leg=LEG,
 )
 SIGNED = _csv(
-    SignedTrade,
+    Trade,
     **CLEAN.columns,
     epsilon=_choice((-1, 0, 1), _int_text),
     is_rpt=_choice((False, True), _int_text),
@@ -226,7 +231,8 @@ def _row_error(path, line: int, artifact: CsvArtifact, row: list[str], exc) -> P
 
 def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mapping | None) -> None:
     """Write the provenance line, the header and one line per row."""
-    fields = attrgetter(*(f.name for f in dataclasses.fields(artifact.row_type)))
+    leading = dataclasses.fields(artifact.row_type)[: len(artifact.columns)]
+    fields = attrgetter(*(f.name for f in leading))
     formats = [c.format for c in artifact.columns.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(meta_line(meta) + "\n")
@@ -238,19 +244,19 @@ def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mappin
 # -- public readers and writers -----------------------------------------------
 
 
-def read_clean_trades(path) -> list[CleanTrade]:
+def read_clean_trades(path) -> list[Trade]:
     return list(_read(path, CLEAN))
 
 
-def write_clean_trades(path, trades: Iterable[CleanTrade], meta=None) -> None:
+def write_clean_trades(path, trades: Iterable[Trade], meta=None) -> None:
     _write(path, CLEAN, trades, meta)
 
 
-def read_signed_trades(path) -> list[SignedTrade]:
+def read_signed_trades(path) -> list[Trade]:
     return list(_read(path, SIGNED))
 
 
-def write_signed_trades(path, trades: Iterable[SignedTrade], meta=None) -> None:
+def write_signed_trades(path, trades: Iterable[Trade], meta=None) -> None:
     _write(path, SIGNED, trades, meta)
 
 

@@ -17,9 +17,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .calendars import BusinessCalendar, IsoWeek
-from .classify import SignedTrade
 from .errors import DataError, NumericalError
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL
+from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, Trade
 
 DAYS_PER_YEAR = 365.25
 SECTORS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9")
@@ -183,7 +182,7 @@ FeatureRow = make_dataclass(
 
 def build_feature_matrix(
     weekly: Sequence,  # WeeklySpread
-    trades: Iterable[SignedTrade],
+    trades: Iterable[Trade],
     references: Mapping[str, BondReference],
     context: Mapping[IsoWeek, float],
     calendar: BusinessCalendar,
@@ -193,7 +192,7 @@ def build_feature_matrix(
     Bond-weeks with fewer than two returns (undefined volatility) are
     dropped. Missing reference data or market context is an error.
     """
-    by_bond_week: dict[tuple[str, IsoWeek], list[SignedTrade]] = {}
+    by_bond_week: dict[tuple[str, IsoWeek], list[Trade]] = {}
     for t in trades:
         key = (t.cusip, IsoWeek.of(t.timestamp.date()))
         by_bond_week.setdefault(key, []).append(t)

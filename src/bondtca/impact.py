@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import SignedTrade
 from .errors import DataError, NumericalError
+from .ingest import Trade
 
 EVENT_TYPES = (1, -1)
 CONDITION_LIMIT = 1e12
@@ -80,7 +80,7 @@ class SignSeries:
     @classmethod
     def from_signed_trades(
         cls,
-        trades: Sequence[SignedTrade],
+        trades: Sequence[Trade],
         alpha: float = 0.0,
         mids: Sequence[float] | None = None,
     ) -> "SignSeries":

@@ -13,6 +13,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -82,13 +83,17 @@ class RawTradeReport:
 
 
 @dataclass(slots=True)
-class CleanTrade:
+class Trade:
+    """A clean trade; classification sets its sign and RPT flag in place."""
+
     cusip: str
     k: int  # per-bond chronological index
     timestamp: dt.datetime
     price: float
     volume: float
     leg: str
+    epsilon: int = 0  # +1 customer buy, -1 customer sell, 0 undeterminable
+    is_rpt: bool = False
 
 
 @dataclass(slots=True)
@@ -154,8 +159,9 @@ def _parse_timestamp(
 def parse_trace_csv(source: str | Path | IO[bytes] | IO[str] | bytes) -> list[RawTradeReport]:
     """Parse a trade-tape CSV into raw reports.
 
-    The header must name every column of TAPE_COLUMNS, in any order. Rows
-    starting with '#' are metadata and skipped.
+    Lines before the header whose first field starts with '#' are metadata
+    and skipped; after it, every line is a report. The header must name
+    every column of TAPE_COLUMNS, in any order.
     """
     fh = _open_text(source)
     reader = csv.reader(fh)
@@ -187,7 +193,7 @@ def parse_trace_csv(source: str | Path | IO[bytes] | IO[str] | bytes) -> list[Ra
 
     for raw in reader:
         row_no += 1
-        if not raw or raw[0].startswith("#"):
+        if not raw:
             continue
         if len(raw) != n_cols:
             raise ParseError(
@@ -223,11 +229,12 @@ def parse_trace_csv(source: str | Path | IO[bytes] | IO[str] | bytes) -> list[Ra
             raise ParseError(f"non-finite price {price_text!r}", row=row_no, column="price")
         if not math.isfinite(volume):
             raise ParseError(f"non-finite volume {volume_text!r}", row=row_no, column="volume")
-        if kind == TRADE and price <= 0:
-            raise ParseError(f"non-positive price {price!r} on trade", row=row_no, column="price")
-        if kind == TRADE and volume <= 0:
+        # a correction's values replace the trade's, so they obey the same rules
+        if kind in (TRADE, CORRECTION) and price <= 0:
+            raise ParseError(f"non-positive price {price!r} on {kind}", row=row_no, column="price")
+        if kind in (TRADE, CORRECTION) and volume <= 0:
             raise ParseError(
-                f"non-positive volume {volume!r} on trade", row=row_no, column="volume"
+                f"non-positive volume {volume!r} on {kind}", row=row_no, column="volume"
             )
 
         if kind == TRADE:
@@ -302,20 +309,26 @@ def reconcile_lifecycle(
     Records are processed in file order; the latest correction for a chain
     wins, and a cancel kills the chain whichever version it references.
     Dangling references are logged and skipped, leaving originals untouched.
+    A record id that an earlier record has raises ParseError.
     """
     stats = LifecycleStats(input_reports=len(reports))
-    family_of: dict[str, str] = {}
+    family_of: dict[str, str | None] = {}
     live: dict[str, RawTradeReport] = {}
     position: dict[str, int] = {}
     dead: set[str] = set()
 
     for pos, rep in enumerate(reports):
+        if rep.record_id in family_of:
+            raise ParseError(
+                f"repeated record_id {rep.record_id!r}", row=rep.row, column="record_id"
+            )
         if rep.kind == TRADE:
             family_of[rep.record_id] = rep.record_id
             live[rep.record_id] = rep
             position[rep.record_id] = pos
             continue
         family = family_of.get(rep.references or "")
+        family_of[rep.record_id] = None  # until it joins a chain, a reference to it dangles
         if family is None:
             stats.dangling_references += 1
             log.warning(
@@ -361,7 +374,7 @@ def filter_pipeline(
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
     lifecycle: LifecycleStats | None = None,
-) -> tuple[list[CleanTrade], FilterReport]:
+) -> tuple[list[Trade], FilterReport]:
     """Apply filter steps 2..7 to settled trades and account for each step.
 
     When ``lifecycle`` stats are supplied, the reconciliation is reported as
@@ -413,22 +426,13 @@ def filter_pipeline(
     apply(7, "keep corporate bonds", lambda t: t.sub_product == "corporate_bond")
 
     # Stable sort: chronological per bond, ties keep file order.
-    ordered = sorted(enumerate(current), key=lambda it: (it[1].cusip, it[1].timestamp, it[0]))
-    clean: list[CleanTrade] = []
+    current.sort(key=attrgetter("cusip", "timestamp"))
+    clean: list[Trade] = []
     counters: dict[str, int] = {}
-    for _, t in ordered:
+    for t in current:
         k = counters.get(t.cusip, 0)
         counters[t.cusip] = k + 1
-        clean.append(
-            CleanTrade(
-                cusip=t.cusip,
-                k=k,
-                timestamp=t.timestamp,
-                price=t.price,
-                volume=t.volume,
-                leg=t.leg,
-            )
-        )
+        clean.append(Trade(t.cusip, k, t.timestamp, t.price, t.volume, t.leg))
     return clean, FilterReport(steps=steps, lifecycle=lifecycle)
 
 
@@ -436,17 +440,17 @@ def ingest_reports(
     reports: Sequence[RawTradeReport],
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
-) -> tuple[list[CleanTrade], FilterReport]:
+) -> tuple[list[Trade], FilterReport]:
     """Reconcile then filter, with full step 1..7 accounting."""
     settled, stats = reconcile_lifecycle(reports)
     return filter_pipeline(settled, calendar, irregular_codes, lifecycle=stats)
 
 
-def cap_volumes(
-    trades: Iterable[CleanTrade], grade_of: Mapping[str, str]
-) -> list[CleanTrade]:
-    """Emulate Standard-tape truncation: 1MM cap for HY, 5MM for IG."""
-    out: list[CleanTrade] = []
+def cap_volumes(trades: Sequence[Trade], grade_of: Mapping[str, str]) -> Sequence[Trade]:
+    """Emulate Standard-tape truncation in place: 1MM cap for HY, 5MM for IG.
+
+    Returns ``trades``.
+    """
     for t in trades:
         grade = grade_of.get(t.cusip)
         if grade == "HY":
@@ -456,14 +460,13 @@ def cap_volumes(
         else:
             raise DataError(f"unknown grade for cusip {t.cusip}")
         if t.volume > cap:
-            t = CleanTrade(t.cusip, t.k, t.timestamp, t.price, cap, t.leg)
-        out.append(t)
-    return out
+            t.volume = cap
+    return trades
 
 
-def group_by_cusip(trades: Iterable[CleanTrade]) -> dict[str, list[CleanTrade]]:
+def group_by_cusip(trades: Iterable[Trade]) -> dict[str, list[Trade]]:
     """Group trades per bond, preserving order."""
-    grouped: dict[str, list[CleanTrade]] = {}
+    grouped: dict[str, list[Trade]] = {}
     for t in trades:
         grouped.setdefault(t.cusip, []).append(t)
     return grouped

@@ -19,9 +19,8 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .calendars import IsoWeek
-from .classify import SignedTrade
 from .errors import ConfigError
-from .ingest import CUSTOMER_BUY, DEALER_DEALER
+from .ingest import CUSTOMER_BUY, DEALER_DEALER, Trade
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +56,7 @@ class OneSidedSpread:
 
 
 def estimate_spreads(
-    trades: Sequence[SignedTrade],
+    trades: Sequence[Trade],
     delta_t: float = DEFAULT_DELTA_T,
     mid_convention: str = "paper",
 ) -> list[SpreadObservation]:
@@ -112,7 +111,7 @@ def aggregate_weekly(obs: Iterable[SpreadObservation]) -> list[WeeklySpread]:
 
 
 def one_sided_spreads_by_day(
-    trades: Iterable[SignedTrade],
+    trades: Iterable[Trade],
     min_volume: float = 100_000.0,
     exclusion_minutes: float = 15.0,
 ) -> list[OneSidedSpread]:
@@ -133,7 +132,7 @@ def one_sided_spreads_by_day(
     so a bond-day costs O((c + d) log d) for c customer and d dealer trades.
     """
     window = dt.timedelta(minutes=exclusion_minutes)
-    by_day: dict[tuple[str, dt.date], list[SignedTrade]] = {}
+    by_day: dict[tuple[str, dt.date], list[Trade]] = {}
     for t in trades:
         by_day.setdefault((t.cusip, t.timestamp.date()), []).append(t)
     out: list[OneSidedSpread] = []

@@ -7,8 +7,8 @@ import datetime as dt
 import pytest
 
 from bondtca.calendars import BusinessCalendar
-from bondtca.classify import SignedTrade
-from bondtca.ingest import TAPE_COLUMNS, CleanTrade, RawTradeReport
+from bondtca.classify import SIGN_OF_LEG
+from bondtca.ingest import TAPE_COLUMNS, RawTradeReport, Trade
 
 MONDAY = dt.datetime(2015, 1, 5, 10, 0, 0)  # a business-day mid-morning
 
@@ -39,7 +39,9 @@ def make_report(**kw) -> RawTradeReport:
     return RawTradeReport(**defaults)
 
 
-def make_clean(k: int = 0, **kw) -> CleanTrade:
+def make_trade(k: int = 0, **kw) -> Trade:
+    """A trade of TESTCUSIP, one minute after the last; unless given, its sign
+    is its leg's, as classify sets it outside an RPT."""
     defaults = dict(
         cusip="TESTCUSIP",
         k=k,
@@ -49,25 +51,8 @@ def make_clean(k: int = 0, **kw) -> CleanTrade:
         leg="customer_buy",
     )
     defaults.update(kw)
-    return CleanTrade(**defaults)
-
-
-def make_signed(k: int = 0, **kw) -> SignedTrade:
-    defaults = dict(
-        cusip="TESTCUSIP",
-        k=k,
-        timestamp=ts(60.0 * k),
-        price=100.0,
-        volume=50_000.0,
-        leg="customer_buy",
-        epsilon=1,
-        is_rpt=False,
-    )
-    defaults.update(kw)
-    if "epsilon" not in kw:
-        leg = defaults["leg"]
-        defaults["epsilon"] = {"customer_buy": 1, "customer_sell": -1}.get(leg, 0)
-    return SignedTrade(**defaults)
+    defaults.setdefault("epsilon", SIGN_OF_LEG[defaults["leg"]])
+    return Trade(**defaults)
 
 
 @pytest.fixture

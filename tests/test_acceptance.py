@@ -42,7 +42,7 @@ from bondtca.regress import (
 from bondtca.stats import anova_f, kruskal_h, ks_two_sample, welch_t
 from bondtca.synthgen import KernelSpec, SynthConfig, generate_tim_series, generate_trace_fixture
 
-from conftest import make_clean, make_signed, ts
+from conftest import make_trade, ts
 from test_classify import brute_force_rpt_flags
 
 
@@ -260,7 +260,7 @@ def test_criterion_08_classification_oracle():
         volumes = rng.integers(1, 4, size=n).astype(float)
         tape_legs = [legs[i] for i in rng.integers(0, 3, size=n)]
         trades = [
-            make_clean(k=i, volume=v, leg=leg)
+            make_trade(k=i, volume=v, leg=leg)
             for i, (v, leg) in enumerate(zip(volumes, tape_legs))
         ]
         got = [t.is_rpt for t in classify_bond(trades)]
@@ -332,7 +332,7 @@ def test_criterion_10_spread_and_caps():
     for i in range(60):
         buy = i % 2 == 0
         trades.append(
-            make_signed(
+            make_trade(
                 k=i,
                 price=mid + h if buy else mid - h,
                 leg="customer_buy" if buy else "customer_sell",
@@ -350,10 +350,10 @@ def test_criterion_10_spread_and_caps():
     rng = np.random.default_rng(110)
     volumes = rng.uniform(1e3, 2e7, size=200)
     hy = cap_volumes(
-        [make_clean(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "HY"}
+        [make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "HY"}
     )
     ig = cap_volumes(
-        [make_clean(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "IG"}
+        [make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "IG"}
     )
     caps_ok = all(t.volume <= 1_000_000.0 for t in hy)
     caps_ok &= all(t.volume <= 5_000_000.0 for t in ig)

@@ -1,5 +1,6 @@
 """The CSV codec: every declared artifact round-trips, and JSON is strict."""
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 
 from bondtca import artifacts
 from bondtca.calendars import IsoWeek
+from bondtca.classify import classify_bond
 from bondtca.cli import main
 from bondtca.errors import NumericalError
 from bondtca.features import GRADE_INDICATORS, GRADES, SECTOR_INDICATORS, SECTORS
-from conftest import make_signed
+from conftest import make_trade
 
 DECLARATIONS = {
     name: value for name, value in vars(artifacts).items() if isinstance(value, artifacts.CsvArtifact)
@@ -83,6 +85,18 @@ def test_declaration_round_trip(tmp_path, name, data):
     assert first.read_text().split("\n")[1] == ",".join(artifact.columns)
 
 
+def test_classified_trades_write_six_columns_to_clean_csv(tmp_path):
+    trades = classify_bond([make_trade(k=0), make_trade(k=1, leg="customer_sell")])
+    assert all(t.is_rpt for t in trades)
+    path = tmp_path / "clean.csv"
+    artifacts.write_clean_trades(path, trades)
+    header, *rows = path.read_text().splitlines()[1:]
+    assert header == "cusip,k,timestamp,price,volume,leg"
+    assert [len(row.split(",")) for row in rows] == [6, 6]
+    unsigned = [dataclasses.replace(t, epsilon=0, is_rpt=False) for t in trades]
+    assert artifacts.read_clean_trades(path) == unsigned
+
+
 def test_numpy_scalars_write_as_python_floats(tmp_path):
     path = tmp_path / "signature.csv"
     artifacts.write_signature(path, np.arange(1, 3), np.array([0.5, -0.0]), np.array([1e-310, 2.0]))
@@ -114,8 +128,8 @@ def test_degenerate_welch_t_is_written_as_null(tmp_path):
             [(0, 100.0, "dealer_dealer"), (60, 101.0, "customer_buy"), (90, 99.5, "customer_sell")]
         ):
             trades.append(
-                make_signed(k=k, timestamp=base + dt.timedelta(minutes=minutes), price=price,
-                            volume=200_000.0, leg=leg)
+                make_trade(k=k, timestamp=base + dt.timedelta(minutes=minutes), price=price,
+                           volume=200_000.0, leg=leg)
             )
     artifacts.write_signed_trades(tmp_path / "signed.csv", trades)
     out = tmp_path / "report.json"

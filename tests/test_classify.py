@@ -2,77 +2,90 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bondtca.calendars import BusinessCalendar
-from bondtca.classify import (
-    SizeRun,
-    assign_signs,
-    classify_bond,
-    classify_trades,
-    find_size_runs,
-    mark_rpts,
-)
+from bondtca.classify import classify_bond, classify_trades
 from bondtca.ingest import ingest_reports, parse_trace_csv
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
-from conftest import make_clean
+from conftest import make_trade
+
+BUY_SELL = ["customer_buy", "customer_sell"]
 
 
 def trades_with(volumes, legs=None):
     legs = legs or ["customer_buy"] * len(volumes)
-    return [make_clean(k=i, volume=v, leg=leg) for i, (v, leg) in enumerate(zip(volumes, legs))]
+    return [make_trade(k=i, volume=v, leg=leg) for i, (v, leg) in enumerate(zip(volumes, legs))]
+
+
+def rpt_pairs(volumes, legs):
+    """The RPT pairs classify_bond marks, as (k, k + 1); pairs never overlap,
+    so each flagged trade met from the left opens one."""
+    trades = classify_bond(trades_with(volumes, legs))
+    pairs, i = [], 0
+    while i < len(trades):
+        if trades[i].is_rpt:
+            pairs.append((i, i + 1))
+            i += 2
+        else:
+            i += 1
+    return pairs
 
 
 class TestSizeRuns:
+    """Pairs form only inside stretches of equal volume. Legs alternate buy and
+    sell, so every adjacent pair of equal volume qualifies."""
+
+    def alternating(self, volumes):
+        return rpt_pairs(volumes, [BUY_SELL[i % 2] for i in range(len(volumes))])
+
     def test_all_equal(self):
-        runs = find_size_runs(trades_with([50, 50, 50]))
-        assert len(runs) == 1
-        assert (runs[0].start, runs[0].stop) == (0, 3)
+        assert self.alternating([50, 50, 50]) == [(0, 1)]
 
     def test_inner_run(self):
-        runs = find_size_runs(trades_with([50, 60, 60, 50]))
-        assert [(r.start, r.stop) for r in runs] == [(1, 3)]
+        assert self.alternating([50, 60, 60, 50]) == [(1, 2)]
 
     def test_all_distinct(self):
-        assert find_size_runs(trades_with([50, 60, 70])) == []
+        assert self.alternating([50, 60, 70]) == []
 
     def test_two_disjoint_runs(self):
-        runs = find_size_runs(trades_with([10, 10, 20, 30, 30, 30]))
-        assert [(r.start, r.stop) for r in runs] == [(0, 2), (3, 6)]
+        assert self.alternating([10, 10, 20, 30, 30, 30]) == [(0, 1), (3, 4)]
 
 
 class TestMarkRpts:
+    """Greedy non-overlapping qualifying pairs among trades of one volume."""
+
     def test_customer_dealer_pair_greedy(self):
         legs = ["customer_sell", "dealer_dealer", "customer_buy"]
-        run = SizeRun("X", 0, 3, 50.0)
-        assert mark_rpts(run, legs) == [(0, 1)]
+        assert rpt_pairs([50.0] * 3, legs) == [(0, 1)]
 
     def test_two_buys_not_rpt(self):
-        legs = ["customer_buy", "customer_buy"]
-        assert mark_rpts(SizeRun("X", 0, 2, 50.0), legs) == []
+        assert rpt_pairs([50.0] * 2, ["customer_buy", "customer_buy"]) == []
 
     def test_non_overlapping_pairs(self):
         legs = ["customer_buy", "customer_sell", "dealer_dealer", "customer_buy"]
-        assert mark_rpts(SizeRun("X", 0, 4, 50.0), legs) == [(0, 1), (2, 3)]
+        assert rpt_pairs([50.0] * 4, legs) == [(0, 1), (2, 3)]
 
     def test_two_dealer_trades_not_rpt(self):
-        legs = ["dealer_dealer", "dealer_dealer"]
-        assert mark_rpts(SizeRun("X", 0, 2, 50.0), legs) == []
+        assert rpt_pairs([50.0] * 2, ["dealer_dealer", "dealer_dealer"]) == []
 
     def test_buy_sell_pair_is_rpt(self):
-        legs = ["customer_buy", "customer_sell"]
-        assert mark_rpts(SizeRun("X", 0, 2, 50.0), legs) == [(0, 1)]
+        assert rpt_pairs([50.0] * 2, ["customer_buy", "customer_sell"]) == [(0, 1)]
 
 
 class TestAssignSigns:
+    """Each case starts from a trade whose sign and flag are wrong."""
+
     def test_buy_is_plus_one(self):
-        [t] = assign_signs([make_clean(leg="customer_buy")], [False])
+        [t] = classify_bond([make_trade(leg="customer_buy", epsilon=0, is_rpt=True)])
         assert t.epsilon == 1 and not t.is_rpt
 
     def test_rpt_sell_is_zero(self):
-        [t] = assign_signs([make_clean(leg="customer_sell")], [True])
-        assert t.epsilon == 0 and t.is_rpt
+        buy = make_trade(k=0, leg="customer_buy")
+        sell = make_trade(k=1, leg="customer_sell", epsilon=-1, is_rpt=False)
+        classify_bond([buy, sell])
+        assert sell.epsilon == 0 and sell.is_rpt
 
     def test_dealer_dealer_is_zero(self):
-        [t] = assign_signs([make_clean(leg="dealer_dealer")], [False])
+        [t] = classify_bond([make_trade(leg="dealer_dealer", epsilon=1)])
         assert t.epsilon == 0
 
     def test_sign_never_contradicts_leg(self):
@@ -126,6 +139,24 @@ def test_classify_matches_brute_force(data):
     trades = trades_with(volumes, legs)
     flags = [t.is_rpt for t in classify_bond(trades)]
     assert flags == brute_force_rpt_flags(volumes, legs)
+
+
+@given(
+    data=st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from(LEGS), st.booleans()), max_size=12
+    )
+)
+@settings(max_examples=200)
+def test_classifying_twice_gives_the_same_result(data):
+    """classify_bond overwrites every flag and sign, so stale ones do not leak."""
+    trades = [
+        make_trade(k=i, volume=float(v), leg=leg, epsilon=int(stale), is_rpt=stale)
+        for i, (v, leg, stale) in enumerate(data)
+    ]
+    once = [(t.is_rpt, t.epsilon) for t in classify_bond(trades)]
+    twice = [(t.is_rpt, t.epsilon) for t in classify_bond(trades)]
+    fresh = trades_with([float(v) for v, _, _ in data], [leg for _, leg, _ in data])
+    assert once == twice == [(t.is_rpt, t.epsilon) for t in classify_bond(fresh)]
 
 
 def test_planted_rpt_recovery():

@@ -302,6 +302,10 @@ MALFORMED_ARTIFACTS = {
         "signed.csv", SIGNED_ROW.replace("100.0", "0.0"), ["report", "--signed", "signed.csv"],
         "price",
     ),
+    "non_positive_volume": (
+        "signed.csv", SIGNED_ROW.replace("250000.0", "-250000.0"),
+        ["report", "--signed", "signed.csv"], "volume",
+    ),
     "week_that_does_not_exist": (
         "features.csv", feature_line(iso_week="2015-W99"), ["fit", "--features", "features.csv"],
         "iso_week",

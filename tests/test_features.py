@@ -16,7 +16,7 @@ from bondtca.features import (
 )
 from bondtca.microstructure import WeeklySpread
 
-from conftest import make_signed, ts
+from conftest import make_trade, ts
 
 
 def bond(**kw) -> BondReference:
@@ -124,7 +124,7 @@ class TestFeatureMatrix:
 
     def test_trading_activity_log10(self):
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i))
+            make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i))
             for i in range(18)
         ]
         [row] = self.build(trades)
@@ -133,7 +133,7 @@ class TestFeatureMatrix:
 
     def test_log_total_volume(self):
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * (i % 3), volume=2_000_000.0, timestamp=ts(600.0 * i))
+            make_trade(k=i, price=100.0 + 0.1 * (i % 3), volume=2_000_000.0, timestamp=ts(600.0 * i))
             for i in range(4)
         ]
         [row] = self.build(trades)
@@ -142,7 +142,7 @@ class TestFeatureMatrix:
 
     def test_buy_only_proportions(self):
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * (i % 2), leg="customer_buy", timestamp=ts(600.0 * i))
+            make_trade(k=i, price=100.0 + 0.1 * (i % 2), leg="customer_buy", timestamp=ts(600.0 * i))
             for i in range(5)
         ]
         [row] = self.build(trades)
@@ -152,29 +152,29 @@ class TestFeatureMatrix:
 
     def test_row_dropped_without_volatility(self):
         trades = [
-            make_signed(k=0, price=100.0, timestamp=ts(0)),
-            make_signed(k=1, price=101.0, timestamp=ts(60)),
+            make_trade(k=0, price=100.0, timestamp=ts(0)),
+            make_trade(k=1, price=101.0, timestamp=ts(60)),
         ]
         assert self.build(trades) == []
 
     def test_missing_reference_errors(self):
-        trades = [make_signed(k=i, price=100.0 + 0.1 * i, cusip="GHOST") for i in range(3)]
+        trades = [make_trade(k=i, price=100.0 + 0.1 * i, cusip="GHOST") for i in range(3)]
         weekly = [WeeklySpread("GHOST", self.week, 50.0, 2)]
         with pytest.raises(DataError, match="GHOST"):
             build_feature_matrix(weekly, trades, self.refs, self.context, self.calendar)
 
     def test_missing_context_errors(self):
-        trades = [make_signed(k=i, price=100.0 + 0.1 * i) for i in range(3)]
+        trades = [make_trade(k=i, price=100.0 + 0.1 * i) for i in range(3)]
         weekly = [WeeklySpread("TESTCUSIP", IsoWeek(2015, 30), 50.0, 2)]
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * i, timestamp=ts(i * 60, dt.datetime(2015, 7, 20, 10, 0)))
+            make_trade(k=i, price=100.0 + 0.1 * i, timestamp=ts(i * 60, dt.datetime(2015, 7, 20, 10, 0)))
             for i in range(3)
         ]
         with pytest.raises(DataError, match="2015-W30"):
             build_feature_matrix(weekly, trades, self.refs, self.context, self.calendar)
 
     def test_indicators_one_hot(self):
-        trades = [make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
+        trades = [make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
         [row] = self.build(trades)
         assert row.ind_hy + row.ind_ig == 1.0
         assert sum(getattr(row, f"sector_s{i}") for i in range(1, 10)) == 1.0
@@ -182,11 +182,11 @@ class TestFeatureMatrix:
 
     def test_volume_scaling_property(self):
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * (i % 3), volume=50_000.0 * (i + 1), timestamp=ts(600.0 * i))
+            make_trade(k=i, price=100.0 + 0.1 * (i % 3), volume=50_000.0 * (i + 1), timestamp=ts(600.0 * i))
             for i in range(6)
         ]
         scaled = [
-            make_signed(k=t.k, price=t.price, volume=t.volume * 10, leg=t.leg, timestamp=t.timestamp)
+            make_trade(k=t.k, price=t.price, volume=t.volume * 10, leg=t.leg, timestamp=t.timestamp)
             for t in trades
         ]
         [row] = self.build(trades)
@@ -196,7 +196,7 @@ class TestFeatureMatrix:
         assert row10.turnover == pytest.approx(row.turnover * 10, rel=1e-12)
 
     def test_maturity_identity(self):
-        trades = [make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
+        trades = [make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
         [row] = self.build(trades)
         span = (self.refs["TESTCUSIP"].maturity_date - self.refs["TESTCUSIP"].issue_date).days / 365.25
         assert row.years_to_maturity + row.years_since_issuance == pytest.approx(
@@ -205,7 +205,7 @@ class TestFeatureMatrix:
 
     def test_zero_trade_days(self):
         trades = [
-            make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i))
+            make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i))
             for i in range(6)
         ]  # all on one business day
         [row] = self.build(trades)
@@ -213,7 +213,7 @@ class TestFeatureMatrix:
         assert row.log_zero_trade_days == pytest.approx(math.log10(1 + 4), abs=1e-12)
 
     def test_design_matrix_shape_and_names(self):
-        trades = [make_signed(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
+        trades = [make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]
         rows = self.build(trades)
         y, x, names = design_matrix(rows)
         assert x.shape == (1, 26)

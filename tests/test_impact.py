@@ -24,7 +24,7 @@ from bondtca.impact import (
 )
 from bondtca.synthgen import KernelSpec, SignProcess, SynthConfig, generate_tim_series
 
-from conftest import make_signed, ts
+from conftest import make_trade, ts
 
 
 def series_from(eps, mid, volume=None, alpha=0.0):
@@ -228,7 +228,7 @@ class TestSolveTim1:
             eps = 1 if rng.random() < 0.5 else -1
             price *= math.exp(eps * 8e-5 + rng.normal() * 3e-5)
             trades.append(
-                make_signed(
+                make_trade(
                     k=i,
                     price=price,
                     leg="customer_buy" if eps > 0 else "customer_sell",
@@ -237,7 +237,7 @@ class TestSolveTim1:
             )
         s1 = SignSeries.from_signed_trades(trades)
         scaled = [
-            make_signed(k=t.k, price=t.price * 7.0, leg=t.leg, timestamp=t.timestamp)
+            make_trade(k=t.k, price=t.price * 7.0, leg=t.leg, timestamp=t.timestamp)
             for t in trades
         ]
         s2 = SignSeries.from_signed_trades(scaled)

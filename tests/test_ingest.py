@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -14,7 +15,7 @@ from bondtca.ingest import (
 )
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
-from conftest import make_clean, make_report, tape_csv, trade_row
+from conftest import make_report, make_trade, tape_csv, trade_row
 
 
 class TestParse:
@@ -44,6 +45,8 @@ class TestParse:
             ("volume", "nan", "trade"),
             ("volume", "-5000.0", "trade"),
             ("volume", "0.0", "trade"),
+            ("volume", "-50000.0", "correction"),
+            ("price", "0.0", "correction"),
         ],
     )
     def test_bad_price_or_volume_names_row_and_column(self, field, text, kind):
@@ -80,11 +83,28 @@ class TestParse:
         assert reports[0].customer_side is None
 
     def test_comment_lines_skipped(self):
-        data = b"# meta line\n" + tape_csv([trade_row("A")])
-        assert len(parse_trace_csv(data)) == 1
+        # only the lines before the header are metadata: a record id may begin with '#'
+        data = b"# meta line\n" + tape_csv([trade_row("A"), trade_row("#B")])
+        assert [r.record_id for r in parse_trace_csv(data)] == ["A", "#B"]
 
 
 class TestReconcile:
+    @pytest.mark.parametrize(
+        "second",
+        [
+            trade_row("A", time="10:01:00"),
+            trade_row("A", kind="cancel", references="A"),
+            trade_row("C", kind="cancel", references="GHOST"),  # a dangling record's id
+        ],
+    )
+    def test_repeated_record_id_names_row_and_column(self, second):
+        first = [trade_row("A"), trade_row("C", kind="cancel", references="GHOST")]
+        reports = parse_trace_csv(tape_csv(first + [second]))
+        with pytest.raises(ParseError, match="repeated record_id") as exc:
+            reconcile_lifecycle(reports)
+        assert exc.value.row == 4
+        assert exc.value.column == "record_id"
+
     def test_cancel_removes_trade(self):
         reports = [
             make_report(record_id="A"),
@@ -279,35 +299,30 @@ class TestPlantedFixture:
 
 class TestCapVolumes:
     def test_hy_capped(self):
-        t = make_clean(volume=2_500_000.0)
+        t = make_trade(volume=2_500_000.0)
         out = cap_volumes([t], {"TESTCUSIP": "HY"})
         assert out[0].volume == 1_000_000.0
 
     def test_ig_below_cap_unchanged(self):
-        t = make_clean(volume=400_000.0)
+        t = make_trade(volume=400_000.0)
         assert cap_volumes([t], {"TESTCUSIP": "IG"})[0].volume == 400_000.0
 
     def test_ig_at_cap_not_capped(self):
-        t = make_clean(volume=5_000_000.0)
+        t = make_trade(volume=5_000_000.0)
         assert cap_volumes([t], {"TESTCUSIP": "IG"})[0].volume == 5_000_000.0
 
     def test_unknown_grade_errors(self):
         with pytest.raises(DataError, match="TESTCUSIP"):
-            cap_volumes([make_clean()], {})
+            cap_volumes([make_trade()], {})
 
     @given(
         volumes=st.lists(st.floats(1.0, 2e7), min_size=1, max_size=30),
         grade=st.sampled_from(["IG", "HY"]),
     )
     def test_never_increases_and_only_volume_changes(self, volumes, grade):
-        trades = [make_clean(k=i, volume=v) for i, v in enumerate(volumes)]
-        out = cap_volumes(trades, {"TESTCUSIP": grade})
-        for before, after in zip(trades, out):
-            assert after.volume <= before.volume
-            assert (after.cusip, after.k, after.timestamp, after.price, after.leg) == (
-                before.cusip,
-                before.k,
-                before.timestamp,
-                before.price,
-                before.leg,
-            )
+        trades = [make_trade(k=i, volume=v) for i, v in enumerate(volumes)]
+        before = [dataclasses.replace(t) for t in trades]
+        assert cap_volumes(trades, {"TESTCUSIP": grade}) is trades
+        for old, new in zip(before, trades):
+            assert new.volume <= old.volume
+            assert dataclasses.replace(new, volume=old.volume) == old

@@ -15,7 +15,7 @@ from bondtca.classify import classify_bond
 from bondtca.microstructure import estimate_spreads
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
-from conftest import make_clean, ts
+from conftest import make_trade, ts
 
 BONDS, TRADES_PER_BOND = 9, 7_500
 LEGS = ("customer_buy", "customer_sell", "dealer_dealer")
@@ -27,7 +27,7 @@ def clean_bond(cusip, rng):
         if k % 2 == 0 or rng.random() < 0.5:  # odd trades repeat the last volume half the time
             volume = rng.choice([50_000.0, 100_000.0, 250_000.0, rng.uniform(1e4, 2e6)])
         trades.append(
-            make_clean(
+            make_trade(
                 k=k, cusip=cusip, timestamp=ts(30.0 * k), price=100.0 + rng.gauss(0.0, 0.5),
                 volume=volume, leg=rng.choice(LEGS),
             )

@@ -14,13 +14,13 @@ from bondtca.microstructure import (
     used_trades,
 )
 
-from conftest import make_signed, ts
+from conftest import make_trade, ts
 
 
 def pair(p0, p1, leg0, leg1, gap=120.0):
     return [
-        make_signed(k=0, price=p0, leg=leg0, timestamp=ts(0)),
-        make_signed(k=1, price=p1, leg=leg1, timestamp=ts(gap)),
+        make_trade(k=0, price=p0, leg=leg0, timestamp=ts(0)),
+        make_trade(k=1, price=p1, leg=leg1, timestamp=ts(gap)),
     ]
 
 
@@ -68,9 +68,9 @@ class TestEstimateSpreads:
 
     def test_zero_sign_breaks_adjacency(self):
         trades = [
-            make_signed(k=0, price=100.0, leg="customer_sell", timestamp=ts(0)),
-            make_signed(k=1, price=100.5, leg="dealer_dealer", timestamp=ts(30)),
-            make_signed(k=2, price=101.0, leg="customer_buy", timestamp=ts(60)),
+            make_trade(k=0, price=100.0, leg="customer_sell", timestamp=ts(0)),
+            make_trade(k=1, price=100.5, leg="dealer_dealer", timestamp=ts(30)),
+            make_trade(k=2, price=101.0, leg="customer_buy", timestamp=ts(60)),
         ]
         assert estimate_spreads(trades) == []
 
@@ -81,7 +81,7 @@ class TestEstimateSpreads:
         for i in range(40):
             buy = i % 2 == 0
             trades.append(
-                make_signed(
+                make_trade(
                     k=i,
                     price=mid + h if buy else mid - h,
                     leg="customer_buy" if buy else "customer_sell",
@@ -100,10 +100,10 @@ class TestEstimateSpreads:
 
     def test_used_fraction_mechanism(self):
         trades = [
-            make_signed(k=0, price=100.0, leg="customer_sell", timestamp=ts(0)),
-            make_signed(k=1, price=101.0, leg="customer_buy", timestamp=ts(60)),
-            make_signed(k=2, price=101.0, leg="customer_buy", timestamp=ts(120)),
-            make_signed(k=3, price=101.0, leg="customer_buy", timestamp=ts(10_000)),
+            make_trade(k=0, price=100.0, leg="customer_sell", timestamp=ts(0)),
+            make_trade(k=1, price=101.0, leg="customer_buy", timestamp=ts(60)),
+            make_trade(k=2, price=101.0, leg="customer_buy", timestamp=ts(120)),
+            make_trade(k=3, price=101.0, leg="customer_buy", timestamp=ts(10_000)),
         ]
         obs = estimate_spreads(trades)
         assert [o.k for o in obs] == [1]
@@ -113,7 +113,7 @@ class TestEstimateSpreads:
     def test_bp_spread_scale_invariant(self, scale):
         base = pair(100.0, 101.0, "customer_sell", "customer_buy")
         scaled = [
-            make_signed(k=t.k, price=t.price * scale, leg=t.leg, timestamp=t.timestamp)
+            make_trade(k=t.k, price=t.price * scale, leg=t.leg, timestamp=t.timestamp)
             for t in base
         ]
         o1 = estimate_spreads(base)[0]
@@ -156,11 +156,11 @@ class TestWeekly:
 
 
 def dealer(seconds, price, volume=200_000.0):
-    return make_signed(leg="dealer_dealer", price=price, volume=volume, timestamp=ts(seconds))
+    return make_trade(leg="dealer_dealer", price=price, volume=volume, timestamp=ts(seconds))
 
 
 def customer(seconds, leg, price, volume=100.0):
-    return make_signed(leg=leg, price=price, volume=volume, timestamp=ts(seconds))
+    return make_trade(leg=leg, price=price, volume=volume, timestamp=ts(seconds))
 
 
 # (trades of one bond-day, expected rows as (spread_buy, spread_sell, reference_price))
@@ -268,8 +268,8 @@ class TestOneSided:
 
     def test_by_day_per_trade_reference(self):
         trades = [
-            make_signed(k=0, leg="customer_buy", price=101.0, volume=100.0, timestamp=ts(0)),
-            make_signed(
+            make_trade(k=0, leg="customer_buy", price=101.0, volume=100.0, timestamp=ts(0)),
+            make_trade(
                 k=1, leg="dealer_dealer", price=100.0, volume=200_000.0, timestamp=ts(3600)
             ),
         ]
@@ -374,7 +374,7 @@ _trade = st.tuples(
 )
 def test_one_sided_matches_quadratic_oracle(rows, slots, in_time_order):
     trades = [
-        make_signed(
+        make_trade(
             k=k,
             cusip=cusip,
             leg=leg,
@@ -396,7 +396,7 @@ def liquid_bond_day():
     rng.shuffle(legs)
     seconds = sorted(rng.randrange(0, 8 * 3600) for _ in legs)
     return [
-        make_signed(
+        make_trade(
             k=k,
             leg=leg,
             price=100.0 + rng.gauss(0.0, 0.5),
