@@ -2,11 +2,13 @@
 
 Every artifact opens with a provenance line (tool version, config hash,
 seed) so outputs are self-describing yet byte-reproducible: no timestamps
-or absolute paths are ever written. Each CSV artifact is declared once, as
-an ordered list of columns that map in order onto the leading fields of
-its row type; one reader and one writer serve them all. CSV readers skip '#'
-comment lines before the header; after it, every line is a row, so a field
-may begin with '#'.
+or absolute paths are ever written. Each CSV, the input trade tape and the
+nine artifacts, is declared once, as an ordered list of columns that map in
+order onto the leading fields of its row type; one reader and one writer
+serve them all. The reader skips '#' comment lines before the header; after
+it, every line is a row, so a field may begin with '#'. It finds each
+declared column by name: the columns may come in any order, and columns
+not declared are ignored.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import functools
 import hashlib
 import json
 import math
 import operator
-from operator import attrgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -27,7 +30,20 @@ from .calendars import IsoWeek
 from .errors import BondTcaError, NumericalError, ParseError
 from .features import FEATURE_NAMES, BondReference, FeatureRow, MarketContext
 from .impact import ImpactKernel
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, Trade
+from .ingest import (
+    AGENT,
+    CORPORATE_BOND,
+    CUSTOMER,
+    CUSTOMER_BUY,
+    CUSTOMER_SELL,
+    DEALER,
+    DEALER_DEALER,
+    OTHER_PRODUCT,
+    PRINCIPAL,
+    REPORT_KINDS,
+    RawTradeReport,
+    Trade,
+)
 from .microstructure import OneSidedSpread, SpreadObservation, WeeklySpread
 
 _call = getattr(operator, "call", lambda fn, value: fn(value))  # operator.call: Python 3.11+
@@ -112,6 +128,28 @@ def _naive_timestamp(text: str) -> dt.datetime:
     return value
 
 
+def _clock_time(text: str) -> dt.time:
+    hh, mm, ss = text.split(":")  # exactly HH:MM:SS: no fraction, no UTC offset
+    return dt.time(int(hh), int(mm), int(ss))
+
+
+def _text_or_none(text: str) -> str | None:
+    return text or None
+
+
+def _none_as_empty(value: str | None) -> str:
+    return "" if value is None else value
+
+
+@functools.lru_cache(maxsize=1024)  # a tape repeats a few codes: one frozenset each
+def _conditions(text: str) -> frozenset[str]:
+    return frozenset(text.replace(";", " ").split())
+
+
+def _conditions_text(codes: frozenset[str]) -> str:
+    return ";".join(sorted(codes))
+
+
 def _float_text(value) -> str:
     return repr(float(value))  # repr of a numpy scalar is "np.float64(...)" under numpy 2
 
@@ -134,7 +172,28 @@ OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
 TIMESTAMP = Codec(_naive_timestamp, methodcaller("isoformat", " "))  # no UTC offset
 DATE = Codec(dt.date.fromisoformat, dt.date.isoformat)
 WEEK = Codec(IsoWeek.parse, attrgetter("label"))
+CLOCK_TIME = Codec(_clock_time, dt.time.isoformat)
+OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty)  # "" is None
+CONDITIONS = Codec(_conditions, _conditions_text)  # codes separated by ';' or spaces
 LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
+
+# the input trade tape; a choice column parses to its module constant
+TAPE = _csv(
+    RawTradeReport,
+    record_id=TEXT,
+    cusip=TEXT,
+    exec_date=DATE,
+    exec_time=CLOCK_TIME,
+    price=FLOAT,
+    volume=FLOAT,
+    report_kind=_choice(REPORT_KINDS),
+    references_record=OPTIONAL_TEXT,
+    capacity=_choice((PRINCIPAL, AGENT)),
+    contra_party=_choice((CUSTOMER, DEALER)),
+    customer_side=_choice((CUSTOMER_BUY, CUSTOMER_SELL, None), _none_as_empty),
+    sale_condition=CONDITIONS,
+    sub_product=_choice((CORPORATE_BOND, OTHER_PRODUCT)),
+)
 
 CLEAN = _csv(
     Trade,
@@ -151,7 +210,9 @@ SIGNED = _csv(
     epsilon=_choice((-1, 0, 1), _int_text),
     is_rpt=_choice((False, True), _int_text),
 )
-SPREADS = _csv(SpreadObservation, cusip=TEXT, k=INT, t=TIMESTAMP, psi=FLOAT, mid=FLOAT, s_bp=FLOAT)
+SPREADS = _csv(
+    SpreadObservation, cusip=TEXT, k=INT, t=TIMESTAMP, psi=FLOAT, mid=POSITIVE_FLOAT, s_bp=FLOAT
+)
 WEEKLY = _csv(WeeklySpread, cusip=TEXT, iso_week=WEEK, mean_s_bp=FLOAT, n_obs=INT)
 REFERENCES = _csv(
     BondReference,
@@ -188,45 +249,76 @@ ONE_SIDED = _csv(
 )
 
 
-def _read(path: str | Path, artifact: CsvArtifact) -> Iterator:
-    """The data rows of a CSV artifact, each parsed into ``artifact.row_type``.
+def numbered_rows(path: str | Path, artifact: CsvArtifact) -> Iterator[tuple[int, Any]]:
+    """The data rows of a CSV, each parsed into ``artifact.row_type``, with
+    its line number.
 
-    A wrong header, a row whose width differs from the header's, or a field
-    its column rejects raises ParseError with the path, the line and the
-    column.
+    A header without a declared column, a row whose width differs from the
+    header's, a field its column rejects, a row its row type rejects or a
+    file that is not UTF-8 text raises ParseError with the path and, where
+    known, the line and the column.
     """
     parsers = [c.parse for c in artifact.columns.values()]
     make = artifact.row_type
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
-        if header is None:
-            raise ParseError(f"{path}: empty file")
-        if header != artifact.header:
-            raise ParseError(f"{path}: unexpected header {header}")
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}: expected {width} fields, got {len(row)}", row=reader.line_num
-                )
-            try:
-                value = make(*map(_call, parsers, row))
-            except (ValueError, KeyError, BondTcaError) as exc:
-                raise _row_error(path, reader.line_num, artifact, row, exc) from exc
-            yield value
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            for name in artifact.columns:
+                if name not in header:
+                    raise ParseError(
+                        f"{path}: missing column {name!r} in header",
+                        row=reader.line_num,
+                        column=name,
+                    )
+            # the declared columns in declaration order; every CSV has two or more
+            pick = itemgetter(*map(header.index, artifact.columns))
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ParseError(
+                        f"{path}: expected {width} fields, got {len(row)}", row=reader.line_num
+                    )
+                try:
+                    value = make(*map(_call, parsers, pick(row)))
+                except (ValueError, KeyError, BondTcaError) as exc:
+                    raise _row_error(path, reader.line_num, artifact, pick(row), exc) from exc
+                yield reader.line_num, value
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
 
 
-def _row_error(path, line: int, artifact: CsvArtifact, row: list[str], exc) -> ParseError:
-    """The ParseError for a row that failed to parse: its first bad field, if any."""
-    for (name, codec), text in zip(artifact.columns.items(), row):
+def _read(path: str | Path, artifact: CsvArtifact) -> Iterator:
+    """The data rows of a CSV, each parsed into ``artifact.row_type``."""
+    return map(itemgetter(1), numbered_rows(path, artifact))
+
+
+def _row_error(path, line: int, artifact: CsvArtifact, fields, exc) -> ParseError:
+    """The ParseError for a row that failed to parse: its first bad field, if
+    any, else the column that the row type's own check names, if any."""
+    for (name, codec), text in zip(artifact.columns.items(), fields):
         try:
             codec.parse(text)
         except (ValueError, KeyError, BondTcaError):
             return ParseError(f"{path}: bad {name} {text!r}", row=line, column=name)
+    if isinstance(exc, ParseError):
+        return ParseError(f"{path}: {exc.message}", row=line, column=exc.column)
     return ParseError(f"{path}: {exc}", row=line)
+
+
+def _decode_error(path) -> ParseError:
+    """The ParseError for a file that is not UTF-8 text, naming its first bad line."""
+    with open(path, "rb") as fh:
+        for line, data in enumerate(fh, start=1):
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}: not UTF-8 text: {exc.reason}", row=line)
+    return ParseError(f"{path}: not UTF-8 text")
 
 
 def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mapping | None) -> None:

@@ -57,8 +57,12 @@ class BusinessCalendar:
     @classmethod
     def from_file(cls, path: str | Path) -> "BusinessCalendar":
         """Load holidays from a text file: one YYYY-MM-DD per line, '#' comments."""
+        try:
+            content = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"calendar file {path} is not UTF-8 text: {exc.reason}") from exc
         days = set()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(content.splitlines(), start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

@@ -85,7 +85,9 @@ def _mixing_list(text: str) -> list[float]:
 
 def _load_config_file(path: Path) -> dict:
     try:
-        obj = json.loads(_require(path, "config").read_text())
+        obj = json.loads(_require(path, "config").read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -26,6 +26,7 @@ class ParseError(DataError):
     """Malformed input row; carries the row number and offending column."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
+        self.message = message
         self.row = row
         self.column = column
         loc = []

@@ -7,15 +7,12 @@ seven-step filter reduces the settled trades to the clean analysis set.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 import logging
-import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .calendars import BusinessCalendar
 from .errors import DataError, ParseError
@@ -26,11 +23,18 @@ TRADE = "trade"
 CANCEL = "cancel"
 CORRECTION = "correction"
 REVERSAL = "reversal"
-REPORT_KINDS = frozenset({TRADE, CANCEL, CORRECTION, REVERSAL})
+REPORT_KINDS = (TRADE, CANCEL, CORRECTION, REVERSAL)
 
 CUSTOMER_BUY = "customer_buy"
 CUSTOMER_SELL = "customer_sell"
 DEALER_DEALER = "dealer_dealer"
+
+PRINCIPAL = "principal"
+AGENT = "agent"
+CUSTOMER = "customer"
+DEALER = "dealer"
+CORPORATE_BOND = "corporate_bond"
+OTHER_PRODUCT = "other"
 
 # Sale-condition codes treated as irregular at filter step 5:
 # Z late report, U late after-hours, W weighted-average price, S special price.
@@ -42,42 +46,50 @@ MIN_PRICE = 10.0
 HY_VOLUME_CAP = 1_000_000.0
 IG_VOLUME_CAP = 5_000_000.0
 
-TAPE_COLUMNS = (
-    "record_id",
-    "cusip",
-    "exec_date",
-    "exec_time",
-    "price",
-    "volume",
-    "report_kind",
-    "references_record",
-    "capacity",
-    "contra_party",
-    "customer_side",
-    "sale_condition",
-    "sub_product",
-)
-
-
 @dataclass(slots=True)
 class RawTradeReport:
+    """One row of the tape, its fields in the order of the tape's columns.
+
+    The rules between fields raise ParseError naming the column at fault.
+    """
+
     record_id: str
     cusip: str
-    timestamp: dt.datetime
+    exec_date: dt.date
+    exec_time: dt.time
     price: float
     volume: float
     kind: str
     references: str | None
-    capacity: str  # "principal" | "agent"
-    contra_party: str  # "customer" | "dealer"
-    customer_side: str | None  # "customer_buy" | "customer_sell"
+    capacity: str  # PRINCIPAL | AGENT
+    contra_party: str  # CUSTOMER | DEALER
+    customer_side: str | None  # CUSTOMER_BUY | CUSTOMER_SELL, None on a dealer trade
     sale_conditions: frozenset[str]
-    sub_product: str  # "corporate_bond" | "other"
-    row: int = 0  # source row number, for error reporting
+    sub_product: str  # CORPORATE_BOND | OTHER_PRODUCT
+    row: int = 0  # source line number, for error reporting
+
+    def __post_init__(self) -> None:
+        kind = self.kind
+        # a correction's values replace the trade's, so they obey the same rules
+        if kind in (TRADE, CORRECTION):
+            if not self.price > 0:
+                raise ParseError(f"non-positive price {self.price!r} on {kind}", column="price")
+            if not self.volume > 0:
+                raise ParseError(f"non-positive volume {self.volume!r} on {kind}", column="volume")
+        if kind == TRADE and self.references is not None:
+            raise ParseError(
+                "trade rows must not reference another record", column="references_record"
+            )
+        if kind != TRADE and self.references is None:
+            raise ParseError(f"{kind} row missing references_record", column="references_record")
+        if self.contra_party == CUSTOMER and self.customer_side is None:
+            raise ParseError("customer trade needs customer_side", column="customer_side")
+        if self.contra_party == DEALER and self.customer_side is not None:
+            raise ParseError("customer_side must be empty on dealer trades", column="customer_side")
 
     @property
     def leg(self) -> str:
-        if self.contra_party == "dealer":
+        if self.contra_party == DEALER:
             return DEALER_DEALER
         return self.customer_side  # type: ignore[return-value]
 
@@ -121,183 +133,20 @@ class FilterReport:
     lifecycle: LifecycleStats | None = None
 
 
-def _open_text(source: str | Path | IO[bytes] | IO[str] | bytes) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")  # type: ignore[arg-type]
+def parse_trace_csv(path: str | Path) -> list[RawTradeReport]:
+    """Parse a trade-tape CSV into raw reports, each with its line number.
 
-
-def _parse_timestamp(
-    date_text: str,
-    time_text: str,
-    row: int,
-    date_cache: dict[str, dt.date],
-    time_cache: dict[str, dt.time],
-) -> dt.datetime:
-    day = date_cache.get(date_text)
-    if day is None:
-        try:
-            day = dt.date.fromisoformat(date_text)
-        except ValueError:
-            raise ParseError(f"bad exec_date {date_text!r}", row=row, column="exec_date")
-        date_cache[date_text] = day
-    tod = time_cache.get(time_text)
-    if tod is None:
-        try:
-            hh, mm, ss = time_text.split(":")
-            tod = dt.time(int(hh), int(mm), int(ss))
-        except ValueError:
-            raise ParseError(f"bad exec_time {time_text!r}", row=row, column="exec_time")
-        time_cache[time_text] = tod
-    return dt.datetime.combine(day, tod)
-
-
-def parse_trace_csv(source: str | Path | IO[bytes] | IO[str] | bytes) -> list[RawTradeReport]:
-    """Parse a trade-tape CSV into raw reports.
-
-    Lines before the header whose first field starts with '#' are metadata
-    and skipped; after it, every line is a report. The header must name
-    every column of TAPE_COLUMNS, in any order.
+    The tape is read like every CSV artifact (see ``artifacts.TAPE``): lines
+    before the header whose first field starts with '#' are metadata, the
+    header names every tape column in any order, and other columns are
+    ignored.
     """
-    fh = _open_text(source)
-    reader = csv.reader(fh)
+    from .artifacts import TAPE, numbered_rows  # artifacts imports this module
 
-    header: list[str] | None = None
-    row_no = 0
-    for raw in reader:
-        row_no += 1
-        if raw and raw[0].startswith("#"):
-            continue
-        header = raw
-        break
-    if header is None:
-        raise ParseError("empty tape: no header row", row=row_no)
-
-    positions: dict[str, int] = {}
-    for name in TAPE_COLUMNS:
-        try:
-            positions[name] = header.index(name)
-        except ValueError:
-            raise ParseError(f"missing column {name!r} in header", row=row_no, column=name)
-    idx = [positions[name] for name in TAPE_COLUMNS]
-    n_cols = len(header)
-
-    date_cache: dict[str, dt.date] = {}
-    time_cache: dict[str, dt.time] = {}
-    cond_cache: dict[str, frozenset[str]] = {"": frozenset()}
-    reports: list[RawTradeReport] = []
-
-    for raw in reader:
-        row_no += 1
-        if not raw:
-            continue
-        if len(raw) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} fields, got {len(raw)}", row=row_no, column=None
-            )
-        (
-            record_id,
-            cusip,
-            exec_date,
-            exec_time,
-            price_text,
-            volume_text,
-            kind,
-            references,
-            capacity,
-            contra,
-            side,
-            cond_text,
-            sub_product,
-        ) = (raw[i] for i in idx)
-
-        if kind not in REPORT_KINDS:
-            raise ParseError(f"unknown report_kind {kind!r}", row=row_no, column="report_kind")
-        try:
-            price = float(price_text)
-        except ValueError:
-            raise ParseError(f"bad price {price_text!r}", row=row_no, column="price")
-        try:
-            volume = float(volume_text)
-        except ValueError:
-            raise ParseError(f"bad volume {volume_text!r}", row=row_no, column="volume")
-        if not math.isfinite(price):
-            raise ParseError(f"non-finite price {price_text!r}", row=row_no, column="price")
-        if not math.isfinite(volume):
-            raise ParseError(f"non-finite volume {volume_text!r}", row=row_no, column="volume")
-        # a correction's values replace the trade's, so they obey the same rules
-        if kind in (TRADE, CORRECTION) and price <= 0:
-            raise ParseError(f"non-positive price {price!r} on {kind}", row=row_no, column="price")
-        if kind in (TRADE, CORRECTION) and volume <= 0:
-            raise ParseError(
-                f"non-positive volume {volume!r} on {kind}", row=row_no, column="volume"
-            )
-
-        if kind == TRADE:
-            if references:
-                raise ParseError(
-                    "trade rows must not reference another record",
-                    row=row_no,
-                    column="references_record",
-                )
-            ref = None
-        else:
-            if not references:
-                raise ParseError(
-                    f"{kind} row missing references_record", row=row_no, column="references_record"
-                )
-            ref = references
-
-        if capacity not in ("principal", "agent"):
-            raise ParseError(f"unknown capacity {capacity!r}", row=row_no, column="capacity")
-        if contra not in ("customer", "dealer"):
-            raise ParseError(f"unknown contra_party {contra!r}", row=row_no, column="contra_party")
-        if contra == "customer":
-            if side not in (CUSTOMER_BUY, CUSTOMER_SELL):
-                raise ParseError(
-                    f"customer trade needs customer_side, got {side!r}",
-                    row=row_no,
-                    column="customer_side",
-                )
-        else:
-            if side:
-                raise ParseError(
-                    "customer_side must be empty on dealer trades",
-                    row=row_no,
-                    column="customer_side",
-                )
-            side = ""
-        if sub_product not in ("corporate_bond", "other"):
-            raise ParseError(
-                f"unknown sub_product {sub_product!r}", row=row_no, column="sub_product"
-            )
-
-        conds = cond_cache.get(cond_text)
-        if conds is None:
-            conds = frozenset(c for c in cond_text.replace(";", " ").split() if c)
-            cond_cache[cond_text] = conds
-
-        reports.append(
-            RawTradeReport(
-                record_id=record_id,
-                cusip=cusip,
-                timestamp=_parse_timestamp(exec_date, exec_time, row_no, date_cache, time_cache),
-                price=price,
-                volume=volume,
-                kind=kind,
-                references=ref,
-                capacity=capacity,
-                contra_party=contra,
-                customer_side=side or None,
-                sale_conditions=conds,
-                sub_product=sub_product,
-                row=row_no,
-            )
-        )
+    reports = []
+    for line, report in numbered_rows(path, TAPE):
+        report.row = line
+        reports.append(report)
     return reports
 
 
@@ -313,11 +162,10 @@ def reconcile_lifecycle(
     """
     stats = LifecycleStats(input_reports=len(reports))
     family_of: dict[str, str | None] = {}
-    live: dict[str, RawTradeReport] = {}
-    position: dict[str, int] = {}
+    live: dict[str, RawTradeReport] = {}  # in file order: a correction keeps its trade's place
     dead: set[str] = set()
 
-    for pos, rep in enumerate(reports):
+    for rep in reports:
         if rep.record_id in family_of:
             raise ParseError(
                 f"repeated record_id {rep.record_id!r}", row=rep.row, column="record_id"
@@ -325,7 +173,6 @@ def reconcile_lifecycle(
         if rep.kind == TRADE:
             family_of[rep.record_id] = rep.record_id
             live[rep.record_id] = rep
-            position[rep.record_id] = pos
             continue
         family = family_of.get(rep.references or "")
         family_of[rep.record_id] = None  # until it joins a chain, a reference to it dangles
@@ -356,11 +203,7 @@ def reconcile_lifecycle(
             else:
                 stats.reversals_applied += 1
 
-    settled = [
-        live[family]
-        for family in sorted(live, key=position.__getitem__)
-        if family not in dead
-    ]
+    settled = [rep for family, rep in live.items() if family not in dead]
     stats.settled_trades = len(settled)
     return settled, stats
 
@@ -413,26 +256,25 @@ def filter_pipeline(
     apply(
         2,
         "keep trades reported by dealers",
-        lambda t: not (t.capacity == "agent" and t.contra_party == "dealer"),
+        lambda t: not (t.capacity == AGENT and t.contra_party == DEALER),
     )
-    apply(3, "keep business days", lambda t: calendar.is_business_day(t.timestamp.date()))
-    apply(
-        4,
-        "keep session hours",
-        lambda t: SESSION_OPEN <= t.timestamp.time() <= SESSION_CLOSE,
-    )
+    apply(3, "keep business days", lambda t: calendar.is_business_day(t.exec_date))
+    apply(4, "keep session hours", lambda t: SESSION_OPEN <= t.exec_time <= SESSION_CLOSE)
     apply(5, "keep regular trades", lambda t: not (t.sale_conditions & irregular_codes))
     apply(6, "keep compatible prices", lambda t: t.price >= MIN_PRICE)
-    apply(7, "keep corporate bonds", lambda t: t.sub_product == "corporate_bond")
+    apply(7, "keep corporate bonds", lambda t: t.sub_product == CORPORATE_BOND)
 
     # Stable sort: chronological per bond, ties keep file order.
-    current.sort(key=attrgetter("cusip", "timestamp"))
+    current.sort(key=attrgetter("cusip", "exec_date", "exec_time"))
+    combine = dt.datetime.combine
     clean: list[Trade] = []
     counters: dict[str, int] = {}
     for t in current:
         k = counters.get(t.cusip, 0)
         counters[t.cusip] = k + 1
-        clean.append(Trade(t.cusip, k, t.timestamp, t.price, t.volume, t.leg))
+        clean.append(
+            Trade(t.cusip, k, combine(t.exec_date, t.exec_time), t.price, t.volume, t.leg)
+        )
     return clean, FilterReport(steps=steps, lifecycle=lifecycle)
 
 

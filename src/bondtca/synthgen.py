@@ -21,11 +21,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .artifacts import TAPE
 from .calendars import BusinessCalendar, IsoWeek
 from .errors import ConfigError
 from .features import BondReference, MarketContext
 from .impact import SignSeries
-from .ingest import TAPE_COLUMNS
 
 KERNEL_FAMILIES = ("exponential", "power_law", "constant")
 
@@ -423,7 +423,7 @@ def generate_trace_fixture(
     }
     violations = _violation_lines(config, calendar)
     times = _slot_times(config, calendar)
-    parts = [",".join(TAPE_COLUMNS) + "\n"]
+    parts = [",".join(TAPE.header) + "\n"]
     parts += [_bond_tape(config, bond, times, manifest) for bond in range(config.n_bonds)]
     parts.append(violations)
     return "".join(parts).encode("utf-8"), manifest

@@ -6,9 +6,10 @@ import datetime as dt
 
 import pytest
 
+from bondtca.artifacts import TAPE
 from bondtca.calendars import BusinessCalendar
 from bondtca.classify import SIGN_OF_LEG
-from bondtca.ingest import TAPE_COLUMNS, RawTradeReport, Trade
+from bondtca.ingest import RawTradeReport, Trade, parse_trace_csv
 
 MONDAY = dt.datetime(2015, 1, 5, 10, 0, 0)  # a business-day mid-morning
 
@@ -17,11 +18,12 @@ def ts(seconds: float = 0.0, base: dt.datetime = MONDAY) -> dt.datetime:
     return base + dt.timedelta(seconds=seconds)
 
 
-def make_report(**kw) -> RawTradeReport:
+def make_report(timestamp: dt.datetime = MONDAY, **kw) -> RawTradeReport:
     defaults = dict(
         record_id="R1",
         cusip="TESTCUSIP",
-        timestamp=MONDAY,
+        exec_date=timestamp.date(),
+        exec_time=timestamp.time(),
         price=100.0,
         volume=50_000.0,
         kind="trade",
@@ -60,8 +62,20 @@ def calendar() -> BusinessCalendar:
     return BusinessCalendar()
 
 
-def tape_csv(rows: list[str]) -> bytes:
-    return ("\n".join([",".join(TAPE_COLUMNS)] + rows) + "\n").encode()
+def tape_csv(rows: list[str], header: list[str] = TAPE.header) -> bytes:
+    return ("\n".join([",".join(header)] + rows) + "\n").encode()
+
+
+@pytest.fixture
+def parse_tape(tmp_path):
+    """parse_trace_csv on tape bytes, written to a file first."""
+
+    def parse(tape: bytes) -> list[RawTradeReport]:
+        path = tmp_path / "tape.csv"
+        path.write_bytes(tape)
+        return parse_trace_csv(path)
+
+    return parse
 
 
 def trade_row(

@@ -24,7 +24,7 @@ from bondtca.impact import (
     solve_tim2,
 )
 from bondtca.impact import ImpactKernel
-from bondtca.ingest import cap_volumes, ingest_reports, parse_trace_csv
+from bondtca.ingest import cap_volumes, ingest_reports
 from bondtca.microstructure import estimate_spreads
 from bondtca.regress import (
     Dataset,
@@ -251,7 +251,7 @@ def test_criterion_07_tim2_asymmetry():
     )
 
 
-def test_criterion_08_classification_oracle():
+def test_criterion_08_classification_oracle(parse_tape):
     rng = np.random.default_rng(108)
     legs = ["customer_buy", "customer_sell", "dealer_dealer"]
     mismatches = 0
@@ -269,7 +269,7 @@ def test_criterion_08_classification_oracle():
 
     cfg = SynthConfig(seed=9, n_events=5000, rpt_fraction=0.25)
     tape, manifest = generate_trace_fixture(cfg, BusinessCalendar())
-    clean, _ = ingest_reports(parse_trace_csv(tape), BusinessCalendar())
+    clean, _ = ingest_reports(parse_tape(tape), BusinessCalendar())
     signed = classify_trades(clean)
     flagged = {(t.cusip, t.timestamp.isoformat(sep=" ")) for t in signed if t.is_rpt}
     planted = [p for p in manifest.planted_rpts if not p.ambiguous]
@@ -286,7 +286,7 @@ def test_criterion_08_classification_oracle():
     )
 
 
-def test_criterion_09_filter_accounting():
+def test_criterion_09_filter_accounting(parse_tape):
     cfg = SynthConfig(
         seed=905,
         n_events=400,
@@ -297,7 +297,7 @@ def test_criterion_09_filter_accounting():
     )
     calendar = BusinessCalendar()
     tape, manifest = generate_trace_fixture(cfg, calendar)
-    reports = parse_trace_csv(tape)
+    reports = parse_tape(tape)
     clean, rep = ingest_reports(reports, calendar)
     by_step = {s.step: s for s in rep.steps}
     counts_ok = all(

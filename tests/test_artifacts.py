@@ -32,7 +32,11 @@ BY_CODEC = {
     artifacts.TIMESTAMP: st.datetimes(),
     artifacts.DATE: st.dates(),
     artifacts.WEEK: st.dates().map(IsoWeek.of),
+    artifacts.CLOCK_TIME: st.times().map(lambda t: t.replace(microsecond=0)),
+    artifacts.OPTIONAL_TEXT: st.none() | CUSIP,
+    artifacts.CONDITIONS: st.frozensets(st.sampled_from("SUWZT")),
 }
+POSITIVE = BY_CODEC[artifacts.POSITIVE_FLOAT]
 BY_NAME = {
     "grade": st.sampled_from(GRADES),
     "sector": st.sampled_from(SECTORS),
@@ -60,13 +64,22 @@ def rows_of(draw, artifact):
     if "issue_date" in values:
         dates = draw(st.lists(st.dates(), min_size=2, max_size=2, unique=True))
         values["issue_date"], values["maturity_date"] = sorted(dates)
+    if "report_kind" in values:  # a tape row, under RawTradeReport's rules between fields
+        kind = values["report_kind"]
+        if kind in ("trade", "correction"):
+            values["price"], values["volume"] = draw(POSITIVE), draw(POSITIVE)
+        values["references_record"] = None if kind == "trade" else draw(CUSIP)
+        values["customer_side"] = (
+            None if values["contra_party"] == "dealer"
+            else draw(st.sampled_from(["customer_buy", "customer_sell"]))
+        )
     return artifact.row_type(*values.values())
 
 
 def test_every_artifact_is_declared():
     assert sorted(DECLARATIONS) == [
         "CLEAN", "CONTEXT", "FEATURES", "ONE_SIDED", "REFERENCES", "SIGNATURE", "SIGNED",
-        "SPREADS", "WEEKLY",
+        "SPREADS", "TAPE", "WEEKLY",
     ]
 
 

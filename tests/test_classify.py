@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from bondtca.calendars import BusinessCalendar
 from bondtca.classify import classify_bond, classify_trades
-from bondtca.ingest import ingest_reports, parse_trace_csv
+from bondtca.ingest import ingest_reports
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
 from conftest import make_trade
@@ -159,10 +159,10 @@ def test_classifying_twice_gives_the_same_result(data):
     assert once == twice == [(t.is_rpt, t.epsilon) for t in classify_bond(fresh)]
 
 
-def test_planted_rpt_recovery():
+def test_planted_rpt_recovery(parse_tape):
     cfg = SynthConfig(seed=9, n_events=4000, rpt_fraction=0.25)
     tape, manifest = generate_trace_fixture(cfg, BusinessCalendar())
-    clean, _ = ingest_reports(parse_trace_csv(tape), BusinessCalendar())
+    clean, _ = ingest_reports(parse_tape(tape), BusinessCalendar())
     signed = classify_trades(clean)
     flagged = {
         (t.cusip, t.timestamp.isoformat(sep=" ")) for t in signed if t.is_rpt
@@ -180,10 +180,10 @@ def test_planted_rpt_recovery():
     assert n_pairs == pytest.approx(0.25 * cfg.n_events, rel=0.15)
 
 
-def test_rpt_fraction_close_to_manifest():
+def test_rpt_fraction_close_to_manifest(parse_tape):
     cfg = SynthConfig(seed=10, n_events=3000, rpt_fraction=0.10)
     tape, manifest = generate_trace_fixture(cfg, BusinessCalendar())
-    clean, _ = ingest_reports(parse_trace_csv(tape), BusinessCalendar())
+    clean, _ = ingest_reports(parse_tape(tape), BusinessCalendar())
     signed = classify_trades(clean)
     n_rpt_trades = sum(1 for t in signed if t.is_rpt)
     planted_trades = 2 * len(manifest.planted_rpts)

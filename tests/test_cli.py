@@ -279,6 +279,10 @@ MALFORMED_ARTIFACTS = {
         "spreads.csv", SPREAD_ROW.replace("100.0", "1e999"),
         ["impact", "--signed", "signed.csv", "--spreads", "spreads.csv", "--min-events", 0], "mid",
     ),
+    "non_positive_mid": (
+        "spreads.csv", SPREAD_ROW.replace("100.0", "-100.0"),
+        ["impact", "--signed", "signed.csv", "--spreads", "spreads.csv", "--min-events", 0], "mid",
+    ),
     "unknown_leg": (
         "clean.csv", CLEAN_ROW.replace("dealer_dealer", "bogus_leg"),
         ["classify", "--clean", "clean.csv"], "leg",
@@ -330,6 +334,41 @@ def test_malformed_artifact_row_exit_3(workdir, capsys, name, bad_line, argv, co
     assert name in error["message"] and "row 3" in error["message"]
     if column is not None:
         assert f"column {column!r}" in error["message"]
+
+
+# (a file whose third line holds a byte that is not UTF-8, its bytes, the
+# stage that reads it, the exit code)
+UNDECODABLE = {
+    "tape": (
+        "tape.csv", tape_csv([trade_row("A")]) + b"\xff" + trade_row("B").encode() + b"\n",
+        ["ingest", "--tape", "tape.csv"], 3,
+    ),
+    "signed": (
+        "signed.csv", f"{','.join(artifacts.SIGNED.header)}\n{SIGNED_ROW}\n\xff{SIGNED_ROW}\n",
+        ["report", "--signed", "signed.csv"], 3,
+    ),
+    "config": (
+        "cfg.json", '{"report":\n {"out_report":\n "\xff.json"}}',
+        ["report", "--signed", "signed.csv", "--config", "cfg.json"], 2,
+    ),
+    "calendar": (
+        "holidays.txt", "2015-01-01\n2015-01-02\n\xff2015-01-05\n",
+        ["generate", "--events", 300, "--calendar", "holidays.txt"], 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name, data, argv, code", UNDECODABLE.values(), ids=UNDECODABLE)
+def test_undecodable_input_ends_in_a_documented_exit(workdir, capsys, name, data, argv, code):
+    Path(name).write_bytes(data if isinstance(data, bytes) else data.encode("latin-1"))
+    assert run(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == ("ParseError" if code == 3 else "ConfigError")
+    assert name in error["message"] and "UTF-8" in error["message"]
+    if code == 3:
+        assert "row 3" in error["message"]
 
 
 def test_cusip_beginning_with_hash_is_a_row(workdir, capsys):

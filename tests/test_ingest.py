@@ -4,13 +4,14 @@ import datetime as dt
 import pytest
 from hypothesis import given, strategies as st
 
+from bondtca import ingest
+from bondtca.artifacts import TAPE
 from bondtca.calendars import BusinessCalendar
 from bondtca.errors import DataError, ParseError
 from bondtca.ingest import (
     cap_volumes,
     filter_pipeline,
     ingest_reports,
-    parse_trace_csv,
     reconcile_lifecycle,
 )
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
@@ -19,19 +20,19 @@ from conftest import make_report, make_trade, tape_csv, trade_row
 
 
 class TestParse:
-    def test_single_trade_row(self):
-        reports = parse_trace_csv(tape_csv([trade_row("A")]))
+    def test_single_trade_row(self, parse_tape):
+        reports = parse_tape(tape_csv([trade_row("A")]))
         assert len(reports) == 1
         r = reports[0]
         assert r.kind == "trade"
         assert r.price == 100.0
-        assert r.timestamp == dt.datetime(2015, 1, 5, 10, 0, 0)
+        assert (r.exec_date, r.exec_time) == (dt.date(2015, 1, 5), dt.time(10, 0, 0))
         assert r.leg == "customer_buy"
 
-    def test_malformed_price_names_row_and_column(self):
+    def test_malformed_price_names_row_and_column(self, parse_tape):
         bad = trade_row("A").replace("100.0", "abc")
         with pytest.raises(ParseError) as exc:
-            parse_trace_csv(tape_csv([bad]))
+            parse_tape(tape_csv([bad]))
         assert exc.value.row == 2
         assert exc.value.column == "price"
 
@@ -49,43 +50,94 @@ class TestParse:
             ("price", "0.0", "correction"),
         ],
     )
-    def test_bad_price_or_volume_names_row_and_column(self, field, text, kind):
+    def test_bad_price_or_volume_names_row_and_column(self, field, text, kind, parse_tape):
         bad = trade_row("B", kind=kind, references="" if kind == "trade" else "A")
         bad = bad.replace("100.0" if field == "price" else "50000.0", text)
         with pytest.raises(ParseError) as exc:
-            parse_trace_csv(tape_csv([trade_row("A"), bad]))
+            parse_tape(tape_csv([trade_row("A"), bad]))
         assert exc.value.row == 3
         assert exc.value.column == field
 
-    def test_unknown_report_kind(self):
+    def test_unknown_report_kind(self, parse_tape):
         with pytest.raises(ParseError) as exc:
-            parse_trace_csv(tape_csv([trade_row("A", kind="bogus", references="A")]))
+            parse_tape(tape_csv([trade_row("A", kind="bogus", references="A")]))
         assert exc.value.column == "report_kind"
 
-    def test_ten_rows_with_two_cancels(self):
+    def test_ten_rows_with_two_cancels(self, parse_tape):
         rows = [trade_row(f"T{i}", time=f"10:{i:02d}:00") for i in range(8)]
         rows += [
             trade_row("C1", kind="cancel", references="T1"),
             trade_row("C2", kind="cancel", references="T5"),
         ]
-        reports = parse_trace_csv(tape_csv(rows))
+        reports = parse_tape(tape_csv(rows))
         assert len(reports) == 10
         assert sum(1 for r in reports if r.kind == "cancel") == 2
 
-    def test_missing_reference_on_cancel(self):
+    def test_missing_reference_on_cancel(self, parse_tape):
         with pytest.raises(ParseError) as exc:
-            parse_trace_csv(tape_csv([trade_row("C", kind="cancel")]))
+            parse_tape(tape_csv([trade_row("C", kind="cancel")]))
         assert exc.value.column == "references_record"
 
-    def test_dealer_trade_has_no_side(self):
-        reports = parse_trace_csv(tape_csv([trade_row("A", contra="dealer")]))
+    def test_dealer_trade_has_no_side(self, parse_tape):
+        reports = parse_tape(tape_csv([trade_row("A", contra="dealer")]))
         assert reports[0].leg == "dealer_dealer"
         assert reports[0].customer_side is None
 
-    def test_comment_lines_skipped(self):
+    def test_comment_lines_skipped(self, parse_tape):
         # only the lines before the header are metadata: a record id may begin with '#'
         data = b"# meta line\n" + tape_csv([trade_row("A"), trade_row("#B")])
-        assert [r.record_id for r in parse_trace_csv(data)] == ["A", "#B"]
+        assert [r.record_id for r in parse_tape(data)] == ["A", "#B"]
+
+    def test_header_columns_in_any_order_and_extra_columns_ignored(self, parse_tape):
+        rows = [trade_row("A"), trade_row("B", kind="cancel", references="A", contra="dealer")]
+        expected = parse_tape(tape_csv(rows))
+        order = [5, 0, 12, 3, 1, 7, 2, 10, 4, 9, 6, 11, 8]  # a shuffle of the 13 columns
+        shuffled = [",".join(row.split(",")[i] for i in order) for row in rows]
+        assert parse_tape(tape_csv(shuffled, [TAPE.header[i] for i in order])) == expected
+        extra = [row + ",ignored" for row in rows]
+        assert parse_tape(tape_csv(extra, TAPE.header + ["venue"])) == expected
+
+    def test_missing_column_names_it(self, parse_tape):
+        header = [name for name in TAPE.header if name != "sub_product"]
+        rows = [trade_row("A").rsplit(",", 1)[0]]
+        with pytest.raises(ParseError) as exc:
+            parse_tape(tape_csv(rows, header))
+        assert exc.value.row == 1
+        assert exc.value.column == "sub_product"
+
+    def test_choice_fields_are_the_module_constants(self, parse_tape):
+        rows = [trade_row("A"), trade_row("B", kind="correction", references="A", contra="dealer")]
+        kinds, contras = (ingest.TRADE, ingest.CORRECTION), (ingest.CUSTOMER, ingest.DEALER)
+        for report, kind, contra in zip(parse_tape(tape_csv(rows)), kinds, contras):
+            assert report.kind is kind
+            assert report.capacity is ingest.PRINCIPAL
+            assert report.contra_party is contra
+            assert report.sub_product is ingest.CORPORATE_BOND
+
+    @pytest.mark.parametrize("text", ["10:00", "10:00:00+01:00", "10:00:00.5", "25:00:00"])
+    def test_exec_time_must_be_hh_mm_ss(self, parse_tape, text):
+        with pytest.raises(ParseError) as exc:
+            parse_tape(tape_csv([trade_row("A", time=text)]))
+        assert exc.value.exit_code == 3
+        assert exc.value.row == 2
+        assert exc.value.column == "exec_time"
+
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            (trade_row("A", side=""), "customer_side"),
+            (trade_row("A", contra="dealer").replace("r,,", "r,customer_sell,"), "customer_side"),
+            (trade_row("A", references="Z"), "references_record"),
+            (trade_row("A", capacity="broker"), "capacity"),
+            (trade_row("A", sub_product="muni"), "sub_product"),
+            (trade_row("A", date="2015-02-30"), "exec_date"),
+        ],
+    )
+    def test_bad_field_names_row_and_column(self, parse_tape, row, column):
+        with pytest.raises(ParseError) as exc:
+            parse_tape(tape_csv([trade_row("B"), row]))
+        assert exc.value.row == 3
+        assert exc.value.column == column
 
 
 class TestReconcile:
@@ -97,9 +149,9 @@ class TestReconcile:
             trade_row("C", kind="cancel", references="GHOST"),  # a dangling record's id
         ],
     )
-    def test_repeated_record_id_names_row_and_column(self, second):
+    def test_repeated_record_id_names_row_and_column(self, second, parse_tape):
         first = [trade_row("A"), trade_row("C", kind="cancel", references="GHOST")]
-        reports = parse_trace_csv(tape_csv(first + [second]))
+        reports = parse_tape(tape_csv(first + [second]))
         with pytest.raises(ParseError, match="repeated record_id") as exc:
             reconcile_lifecycle(reports)
         assert exc.value.row == 4
@@ -265,7 +317,7 @@ class TestFilter:
 
 
 class TestPlantedFixture:
-    def test_filter_counts_match_manifest(self, calendar):
+    def test_filter_counts_match_manifest(self, calendar, parse_tape):
         cfg = SynthConfig(
             seed=5,
             n_events=100,
@@ -274,7 +326,7 @@ class TestPlantedFixture:
             filter_violations={"2": 3, "3": 4, "4": 2, "5": 5, "6": 1, "7": 2},
         )
         tape, manifest = generate_trace_fixture(cfg, calendar)
-        reports = parse_trace_csv(tape)
+        reports = parse_tape(tape)
         clean, report = ingest_reports(reports, calendar)
         by_step = {s.step: s for s in report.steps}
         for step, count in manifest.filter_violations.items():
@@ -288,10 +340,10 @@ class TestPlantedFixture:
         )
         assert by_step[1].removed == expected_step1
 
-    def test_zero_noise_reconcile_is_noop(self, calendar):
+    def test_zero_noise_reconcile_is_noop(self, calendar, parse_tape):
         cfg = SynthConfig(seed=6, n_events=50)
         tape, _ = generate_trace_fixture(cfg, calendar)
-        reports = parse_trace_csv(tape)
+        reports = parse_tape(tape)
         settled, stats = reconcile_lifecycle(reports)
         assert len(settled) == len(reports)
         assert stats.cancels_applied == stats.corrections_applied == 0

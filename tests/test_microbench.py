@@ -12,6 +12,7 @@ import pytest
 
 from bondtca import artifacts
 from bondtca.classify import classify_bond
+from bondtca.ingest import parse_trace_csv
 from bondtca.microstructure import estimate_spreads
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
@@ -49,6 +50,19 @@ def test_read_signed_trades_benchmark(benchmark, tape, tmp_path):
     artifacts.write_signed_trades(path, signed)
     rows = benchmark.pedantic(artifacts.read_signed_trades, args=(path,), rounds=3, iterations=1)
     assert rows == signed
+
+
+def test_parse_trace_csv_benchmark(benchmark, tmp_path):
+    # half of dealer-heavy's tape: 9 bonds of 2,500 events, with their RPT
+    # partners and lifecycle records
+    config = SynthConfig(
+        seed=5, n_events=2_500, n_bonds=9, rpt_fraction=0.5, cancel_rate=0.005,
+        correction_rate=0.002,
+    )
+    path = tmp_path / "tape.csv"
+    path.write_bytes(generate_trace_fixture(config)[0])
+    reports = benchmark.pedantic(parse_trace_csv, args=(path,), rounds=3, iterations=1)
+    assert len(reports) == len(path.read_bytes().splitlines()) - 1
 
 
 def test_write_signed_trades_benchmark(benchmark, tape, tmp_path):

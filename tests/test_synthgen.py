@@ -10,7 +10,6 @@ from scipy.signal import fftconvolve
 from bondtca.calendars import BusinessCalendar, IsoWeek
 from bondtca.errors import ConfigError
 from bondtca.impact import empirical_signature, estimate_correlation, estimate_response
-from bondtca.ingest import parse_trace_csv
 from bondtca.synthgen import (
     KernelSpec,
     SignProcess,
@@ -140,10 +139,10 @@ class TestTraceFixture:
         t2, _ = generate_trace_fixture(cfg)
         assert t1 == t2
 
-    def test_prices_straddle_mid_exactly(self):
+    def test_prices_straddle_mid_exactly(self, parse_tape):
         cfg = SynthConfig(seed=7, n_events=300, half_spread_bp=30.0)
         tape, _ = generate_trace_fixture(cfg)
-        reports = parse_trace_csv(tape)
+        reports = parse_tape(tape)
         s, _ = generate_tim_series(cfg)
         half_price = cfg.base_price * cfg.half_spread_bp / 1e4
         for k, r in enumerate(reports[: s.t]):
@@ -154,20 +153,18 @@ class TestTraceFixture:
         sells = [r for r in reports if r.customer_side == "customer_sell"]
         assert buys and sells
 
-    def test_timestamps_in_session_and_business_days(self):
+    def test_timestamps_in_session_and_business_days(self, parse_tape):
         cal = BusinessCalendar()
         cfg = SynthConfig(seed=8, n_events=2000, rpt_fraction=0.1)
         tape, _ = generate_trace_fixture(cfg, cal)
-        for r in parse_trace_csv(tape):
-            assert cal.is_business_day(r.timestamp.date())
-            assert 8 * 3600 <= (
-                r.timestamp.hour * 3600 + r.timestamp.minute * 60 + r.timestamp.second
-            ) <= 17 * 3600 + 15 * 60
+        for r in parse_tape(tape):
+            assert cal.is_business_day(r.exec_date)
+            assert dt.time(8, 0) <= r.exec_time <= dt.time(17, 15)
 
-    def test_manifest_counts(self):
+    def test_manifest_counts(self, parse_tape):
         cfg = SynthConfig(seed=9, n_events=1000, cancel_rate=0.1)
         tape, manifest = generate_trace_fixture(cfg)
-        reports = parse_trace_csv(tape)
+        reports = parse_tape(tape)
         cancels = sum(1 for r in reports if r.kind == "cancel")
         assert cancels == manifest.lifecycle_counts.get("cancels", 0)
         assert cancels == pytest.approx(100, abs=35)
@@ -220,7 +217,7 @@ def test_tape_and_manifest_bytes_are_pinned(config, calendar, tape_sha, manifest
     assert hashlib.sha256(text.encode()).hexdigest() == manifest_sha
 
 
-def test_pinned_configs_cover_every_part_of_the_tape():
+def test_pinned_configs_cover_every_part_of_the_tape(parse_tape):
     tape, manifest = generate_trace_fixture(*PINNED["rpt_lifecycle_violations_markov"][:2])
     assert set(manifest.lifecycle_counts) == {"cancels", "corrections", "reversals"}
     assert {p.ambiguous for p in manifest.planted_rpts} == {False, True}
@@ -228,7 +225,7 @@ def test_pinned_configs_cover_every_part_of_the_tape():
         "2", "3", "4", "5", "6", "7"
     }
     tape, _ = generate_trace_fixture(*PINNED["holidays_skip_weekdays"][:2])
-    days = {r.timestamp.date() for r in parse_trace_csv(tape) if r.timestamp.weekday() < 5}
+    days = {r.exec_date for r in parse_tape(tape) if r.exec_date.weekday() < 5}
     assert dt.date(2015, 1, 6) in days and days.isdisjoint({dt.date(2015, 1, 5), dt.date(2015, 1, 7)})
 
 
