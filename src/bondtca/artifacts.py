@@ -18,12 +18,17 @@ import dataclasses
 import datetime as dt
 import functools
 import hashlib
+import io
 import json
 import math
 import operator
+import re
+import warnings
 from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+
+import numpy as np
 
 from . import __version__
 from .calendars import IsoWeek
@@ -38,11 +43,13 @@ from .ingest import (
     CUSTOMER_SELL,
     DEALER,
     DEALER_DEALER,
+    LEGS,
     OTHER_PRODUCT,
     PRINCIPAL,
     REPORT_KINDS,
     RawTradeReport,
     Trade,
+    TradeTable,
 )
 from .microstructure import OneSidedSpread, SpreadObservation, WeeklySpread
 
@@ -121,16 +128,28 @@ def _optional_finite(text: str) -> float | None:
     return None if text == "" else _finite(text)
 
 
-def _naive_timestamp(text: str) -> dt.datetime:
-    value = dt.datetime.fromisoformat(text)
-    if value.tzinfo is not None:
-        raise ValueError(f"timestamp with a UTC offset {text!r}")
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"integer out of the int64 range {text!r}")
     return value
 
 
-def _clock_time(text: str) -> dt.time:
-    hh, mm, ss = text.split(":")  # exactly HH:MM:SS: no fraction, no UTC offset
-    return dt.time(int(hh), int(mm), int(ss))
+_DATE_FORM = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_TIME_FORM = "[0-9]{2}:[0-9]{2}:[0-9]{2}"
+
+
+def _fixed_form(form: str, parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``parse`` on texts of exactly ``form``: a fixed-width form reads the
+    same through ``fromisoformat`` on every Python version."""
+    match = re.compile(form).fullmatch
+
+    def parse_form(text: str):
+        if not match(text):
+            raise ValueError(f"not of the form {form}: {text!r}")
+        return parse(text)
+
+    return parse_form
 
 
 def _text_or_none(text: str) -> str | None:
@@ -166,13 +185,18 @@ def _choice(values: tuple, format: Callable[[Any], str] = str) -> Codec:
 _int_text = "%d".__mod__  # str(int(value)), for bools and numpy integers too
 TEXT = Codec(str, str)
 INT = Codec(int, _int_text)
+INT64 = Codec(_int64, _int_text)
 FLOAT = Codec(_finite, _float_text)  # NaN, infinities and overflow are rejected
 POSITIVE_FLOAT = Codec(_positive, _float_text)
 OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
-TIMESTAMP = Codec(_naive_timestamp, methodcaller("isoformat", " "))  # no UTC offset
-DATE = Codec(dt.date.fromisoformat, dt.date.isoformat)
+# YYYY-MM-DD HH:MM:SS, YYYY-MM-DD and HH:MM:SS: no fraction, no UTC offset
+TIMESTAMP = Codec(
+    _fixed_form(f"{_DATE_FORM} {_TIME_FORM}", dt.datetime.fromisoformat),
+    methodcaller("isoformat", " "),
+)
+DATE = Codec(_fixed_form(_DATE_FORM, dt.date.fromisoformat), dt.date.isoformat)
 WEEK = Codec(IsoWeek.parse, attrgetter("label"))
-CLOCK_TIME = Codec(_clock_time, dt.time.isoformat)
+CLOCK_TIME = Codec(_fixed_form(_TIME_FORM, dt.time.fromisoformat), dt.time.isoformat)
 OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty)  # "" is None
 CONDITIONS = Codec(_conditions, _conditions_text)  # codes separated by ';' or spaces
 LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
@@ -198,7 +222,7 @@ TAPE = _csv(
 CLEAN = _csv(
     Trade,
     cusip=TEXT,
-    k=INT,
+    k=INT64,
     timestamp=TIMESTAMP,
     price=POSITIVE_FLOAT,
     volume=POSITIVE_FLOAT,
@@ -333,23 +357,194 @@ def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mappin
         writer.writerows(map(_call, formats, fields(r)) for r in rows)
 
 
+# -- the trade files, column by column ---------------------------------------
+
+_CUSIP_WIDTH = 32  # bytes; a longer cusip is read by the row path
+# the numpy field of each CLEAN/SIGNED column; an S field is one byte wider
+# than its longest valid text, so that a longer text shows
+_TABLE_FIELDS = {
+    "cusip": f"S{_CUSIP_WIDTH}",
+    "k": "i8",
+    "timestamp": "S20",
+    "price": "f8",
+    "volume": "f8",
+    "leg": "S14",
+    "epsilon": "S3",
+    "is_rpt": "S2",
+}
+# a choice column's texts and the table's value for each
+_TABLE_CHOICES = {
+    "leg": {leg.encode(): code for code, leg in enumerate(LEGS)},
+    "epsilon": {b"-1": -1, b"0": 0, b"1": 1},
+    "is_rpt": {b"0": False, b"1": True},
+}
+
+
+def _canonical_preamble(path, artifact: CsvArtifact) -> int | None:
+    """The number of lines up to the header, if the file has the canonical
+    shape that the column reader takes, else None.
+
+    The shape: '#' lines of UTF-8 text in which no field opens a quote, then
+    exactly the declared header, then rows without a NUL, a quote or a
+    carriage return.
+    """
+    header = ",".join(artifact.header).encode() + b"\n"
+    with open(path, "rb") as fh:
+        lines = 0
+        while line := fh.readline():
+            lines += 1
+            if line == header:
+                break
+            if not line.startswith(b"#") or b',"' in line or b"\r" in line or b"\0" in line:
+                return None
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return None
+        else:
+            return None
+        while chunk := fh.read(1 << 20):
+            if b"\0" in chunk or b'"' in chunk or b"\r" in chunk:
+                return None
+    return lines
+
+
+# 'YYYY-MM-DD HH:MM:SS' in an S20 field: 'd' is a digit, the last byte the padding
+_TIMESTAMP_FORM = b"dddd-dd-dd dd:dd:dd\0"
+
+
+def _timestamps(text: np.ndarray) -> np.ndarray | None:
+    """datetime64[s] values of 'YYYY-MM-DD HH:MM:SS' texts (an S20 array), or
+    None if any text is not a real date and time of that form."""
+    chars = np.ascontiguousarray(text).view(np.uint8).reshape(len(text), 20)
+    ok = np.ones(len(text), np.bool_)
+    for i, byte in enumerate(_TIMESTAMP_FORM):
+        if byte == ord("d"):
+            ok &= chars[:, i] - np.uint8(48) < 10  # a byte that is no digit wraps above 9
+        else:
+            ok &= chars[:, i] == byte
+    ok &= np.any(chars[:, :4] != ord("0"), axis=1)  # numpy reads year 0000, Python does not
+    if not ok.all():
+        return None
+    try:
+        return text.astype("datetime64[s]")
+    except ValueError:  # not a real date or time, such as 2015-02-29 or 24:00:00
+        return None
+
+
+def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
+    """The trade file as a table, parsed column by column, or None if any of
+    its text is not canonical, in which case the row path decides."""
+    skip = _canonical_preamble(path, artifact)
+    if skip is None:
+        return None
+    names = list(artifact.columns)
+    dtype = [(name, _TABLE_FIELDS[name]) for name in names]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns about a file without rows
+            rows = np.loadtxt(
+                path, dtype, delimiter=",", comments=None, skiprows=skip, encoding="latin1",
+                ndmin=1,
+            )
+    except ValueError:
+        return None
+    columns = {}
+    for name in names:
+        values = rows[name]
+        if name in _TABLE_CHOICES:
+            codes = np.zeros(len(values), np.int8)
+            known = np.zeros(len(values), np.bool_)
+            for text, code in _TABLE_CHOICES[name].items():
+                hit = values == text
+                codes[hit] = code
+                known |= hit
+            if not known.all():
+                return None
+            values = codes
+        elif name in ("price", "volume") and not np.all(np.isfinite(values) & (values > 0)):
+            return None
+        columns[name] = values
+    columns["timestamp"] = _timestamps(columns["timestamp"])
+    if columns["timestamp"] is None:
+        return None
+    cusip = columns.pop("cusip")
+    starts = np.flatnonzero(cusip[1:] != cusip[:-1]) + 1
+    cusips = cusip[np.append(0, starts)] if len(cusip) else cusip
+    if np.all(cusips[1:] > cusips[:-1]):  # one run per bond, in cusip order
+        codes = np.repeat(np.arange(len(starts) + 1), np.diff([0, *starts, len(cusip)]))
+    else:
+        cusips, codes = np.unique(cusip, return_inverse=True)
+    cusips = cusips.tolist()
+    if any(len(name) >= _CUSIP_WIDTH for name in cusips):
+        return None  # may have been cut
+    try:
+        cusips = [name.decode("utf-8") for name in cusips]
+    except UnicodeDecodeError:
+        return None
+    return TradeTable.from_codes(cusips, codes, **columns)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row, quoted if need be."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
+_ROWS_PER_WRITE = 4096  # rows formatted at a time: a small working set
+
+
+def _write_table(path, artifact: CsvArtifact, table: TradeTable, meta: Mapping | None) -> None:
+    """The trade file as ``_write`` writes it: each distinct cusip, k,
+    timestamp, volume, leg, epsilon and flag formatted once, each price once
+    per row."""
+    texts = {"cusip": [_csv_field(c) for c in table.cusips]}
+    index = {"cusip": table.codes}
+    for name in list(artifact.columns)[1:]:
+        if name != "price":
+            distinct, index[name] = np.unique(getattr(table, name), return_inverse=True)
+            values = distinct.tolist()
+            if name == "leg":
+                values = [LEGS[code] for code in values]
+            texts[name] = list(map(artifact.columns[name].format, values))
+    texts = {name: np.array(values, dtype=object) for name, values in texts.items()}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(meta_line(meta) + "\n")
+        fh.write(",".join(artifact.header) + "\n")
+        for start in range(0, len(table), _ROWS_PER_WRITE):
+            rows = slice(start, start + _ROWS_PER_WRITE)
+            fields = [
+                map(repr, table.price[rows].tolist()) if name == "price"
+                else texts[name][index[name][rows]].tolist()
+                for name in artifact.columns
+            ]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
 # -- public readers and writers -----------------------------------------------
 
 
-def read_clean_trades(path) -> list[Trade]:
-    return list(_read(path, CLEAN))
+def _read_trades(path, artifact: CsvArtifact) -> TradeTable:
+    """The column reader's table, or else the row path's rows as a table."""
+    table = _read_table(path, artifact)
+    return TradeTable.from_rows(_read(path, artifact)) if table is None else table
 
 
-def write_clean_trades(path, trades: Iterable[Trade], meta=None) -> None:
-    _write(path, CLEAN, trades, meta)
+def read_clean_trades(path) -> TradeTable:
+    return _read_trades(path, CLEAN)
 
 
-def read_signed_trades(path) -> list[Trade]:
-    return list(_read(path, SIGNED))
+def write_clean_trades(path, trades: TradeTable, meta=None) -> None:
+    _write_table(path, CLEAN, trades, meta)
 
 
-def write_signed_trades(path, trades: Iterable[Trade], meta=None) -> None:
-    _write(path, SIGNED, trades, meta)
+def read_signed_trades(path) -> TradeTable:
+    return _read_trades(path, SIGNED)
+
+
+def write_signed_trades(path, trades: TradeTable, meta=None) -> None:
+    _write_table(path, SIGNED, trades, meta)
 
 
 def read_spread_observations(path) -> list[SpreadObservation]:

@@ -9,39 +9,39 @@ left-to-right without overlap.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import numpy as np
 
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, Trade, group_by_cusip
+from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER, LEGS, TradeTable, group_by_cusip
 
 SIGN_OF_LEG = {CUSTOMER_BUY: 1, CUSTOMER_SELL: -1, DEALER_DEALER: 0}
+_SIGN_OF_CODE = np.array([SIGN_OF_LEG[leg] for leg in LEGS], np.int8)
 
 
-def classify_bond(trades: Sequence[Trade]) -> Sequence[Trade]:
+def classify_bond(trades: TradeTable) -> TradeTable:
     """Flag the RPT legs of one bond's chronological trades and sign them, in
     place: +1 customer buy, -1 customer sell, 0 for dealer trades and RPT legs.
 
     Returns ``trades``.
     """
-    prev = None
-    for t in trades:
-        # prev.is_rpt, set on the step before, means prev already closes a pair
-        t.is_rpt = (
-            prev is not None
-            and not prev.is_rpt
-            and t.volume == prev.volume
-            and t.leg != prev.leg
-        )
-        if t.is_rpt:
-            prev.is_rpt, prev.epsilon = True, 0
-        t.epsilon = 0 if t.is_rpt else SIGN_OF_LEG[t.leg]
-        prev = t
+    volume, leg = trades.volume, trades.leg
+    # trade i may close a pair with trade i - 1: the same volume, another leg
+    candidates = np.flatnonzero((volume[1:] == volume[:-1]) & (leg[1:] != leg[:-1])) + 1
+    closers: list[int] = []
+    for i in candidates.tolist():  # greedy, left to right
+        if not closers or closers[-1] != i - 1:  # trade i - 1 closes no pair itself
+            closers.append(i)
+    closing = np.array(closers, dtype=np.intp)
+    trades.is_rpt[:] = False
+    trades.is_rpt[closing] = trades.is_rpt[closing - 1] = True
+    trades.epsilon[:] = np.where(trades.is_rpt, 0, _SIGN_OF_CODE[leg])
     return trades
 
 
-def classify_trades(trades: Iterable[Trade]) -> list[Trade]:
-    """Classify a whole tape, in place; bonds are independent."""
-    grouped = group_by_cusip(trades)
-    out: list[Trade] = []
-    for cusip in sorted(grouped):
-        out.extend(classify_bond(grouped[cusip]))
-    return out
+def classify_trades(trades: TradeTable) -> TradeTable:
+    """Classify a whole tape, in place; bonds are independent.
+
+    Returns ``trades``.
+    """
+    for bond in group_by_cusip(trades).values():
+        classify_bond(bond)
+    return trades

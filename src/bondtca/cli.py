@@ -205,20 +205,22 @@ def cmd_generate(args) -> None:
 
 def cmd_ingest(args) -> None:
     reports = parse_trace_csv(_require(args.tape, "trade tape"))
+    n_reports = len(reports)
     clean, report = ingest_reports(reports, _calendar(args))
+    del reports  # the parsed tape is the stage's largest object; drop it before writing
     if args.cap_volumes:
         refs = artifacts.read_bond_references(_require(args.reference, "bond reference"))
         clean = cap_volumes(clean, {c: r.grade for c, r in refs.items()})
     artifacts.write_clean_trades(args.out_clean, clean, _meta(args))
     artifacts.write_json(args.out_filter_report, asdict(report), _meta(args))
-    print(f"ingested {len(reports)} reports -> {len(clean)} clean trades")
+    print(f"ingested {n_reports} reports -> {len(clean)} clean trades")
 
 
 def cmd_classify(args) -> None:
     trades = artifacts.read_clean_trades(_require(args.clean, "clean trades"))
     signed = classify_trades(trades)
     artifacts.write_signed_trades(args.out_signed, signed, _meta(args))
-    n_rpt = sum(1 for t in signed if t.is_rpt)
+    n_rpt = int(np.count_nonzero(signed.is_rpt))
     print(f"classified {len(signed)} trades, {n_rpt} RPT legs")
 
 
@@ -339,13 +341,13 @@ def _spread_mids_for_bond(trades, mid_by_k):
     """
     if not mid_by_k:
         return None
-    events = [t for t in trades if t.epsilon != 0]
+    event_k = trades.k[trades.epsilon != 0].tolist()
     ordered = sorted(mid_by_k)
     mids = []
     last = mid_by_k[ordered[0]]  # events before the first estimate backfill it
     pos = 0
-    for t in events:
-        while pos < len(ordered) and ordered[pos] <= t.k:
+    for k in event_k:
+        while pos < len(ordered) and ordered[pos] <= k:
             last = mid_by_k[ordered[pos]]
             pos += 1
         mids.append(last)
@@ -371,9 +373,7 @@ def cmd_impact(args) -> None:
     ranked = sorted(grouped, key=lambda c: (-len(grouped[c]), c))
     if args.top_k is not None:
         ranked = ranked[: args.top_k]
-    usable = [
-        c for c in ranked if sum(1 for t in grouped[c] if t.epsilon != 0) >= args.min_events
-    ]
+    usable = [c for c in ranked if np.count_nonzero(grouped[c].epsilon) >= args.min_events]
     if not usable:
         raise DataError(
             f"no bond has {args.min_events} signed events; lower --min-events or generate more data"
@@ -452,7 +452,7 @@ def cmd_report(args) -> None:
     sells = [s.spread_sell for s in sided if s.spread_sell is not None]
     obj: dict = {
         "n_trades": len(signed),
-        "n_rpt_legs": sum(1 for t in signed if t.is_rpt),
+        "n_rpt_legs": int(np.count_nonzero(signed.is_rpt)),
         "n_bond_days_with_reference": len(sided),
         "asymmetry": None,
     }

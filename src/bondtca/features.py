@@ -12,13 +12,13 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, make_dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .calendars import BusinessCalendar, IsoWeek
 from .errors import DataError, NumericalError
-from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, Trade
+from .ingest import CUSTOMER_BUY, CUSTOMER_SELL, LEGS, TradeTable
 
 DAYS_PER_YEAR = 365.25
 SECTORS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8", "S9")
@@ -182,7 +182,7 @@ FeatureRow = make_dataclass(
 
 def build_feature_matrix(
     weekly: Sequence,  # WeeklySpread
-    trades: Iterable[Trade],
+    trades: TradeTable,
     references: Mapping[str, BondReference],
     context: Mapping[IsoWeek, float],
     calendar: BusinessCalendar,
@@ -192,10 +192,18 @@ def build_feature_matrix(
     Bond-weeks with fewer than two returns (undefined volatility) are
     dropped. Missing reference data or market context is an error.
     """
-    by_bond_week: dict[tuple[str, IsoWeek], list[Trade]] = {}
-    for t in trades:
-        key = (t.cusip, IsoWeek.of(t.timestamp.date()))
-        by_bond_week.setdefault(key, []).append(t)
+    days = trades.timestamp.astype("datetime64[D]")
+    day_numbers = days.view(np.int64)
+    mondays = day_numbers - (day_numbers + 3) % 7  # day 0, 1970-01-01, is a Thursday
+    order, bounds = trades.groups(mondays)
+    codes, mondays = trades.codes[order].tolist(), mondays[order].tolist()
+    epoch = dt.date(1970, 1, 1)
+    week_of = {m: IsoWeek.of(epoch + dt.timedelta(days=m)) for m in set(mondays)}
+    by_bond_week = {  # each bond-week's rows, in table order
+        (trades.cusips[codes[start]], week_of[mondays[start]]): order[start:end]
+        for start, end in zip(bounds, bounds[1:])
+    }
+    buy, sell = LEGS.index(CUSTOMER_BUY), LEGS.index(CUSTOMER_SELL)
 
     rows: list[FeatureRow] = []
     for ws in weekly:
@@ -204,28 +212,31 @@ def build_feature_matrix(
             raise DataError(f"missing bond reference for cusip {ws.cusip}")
         if ws.week not in context:
             raise DataError(f"missing market context (libor_ois) for week {ws.week.label}")
-        bucket = by_bond_week.get((ws.cusip, ws.week), [])
-        if not bucket:
+        bucket = by_bond_week.get((ws.cusip, ws.week))
+        if bucket is None:
             continue
+        prices = trades.price[bucket].tolist()
 
-        vol = weekly_volatility([t.price for t in bucket])
+        vol = weekly_volatility(prices)
         if vol is None:
             continue
 
-        n_trades = len(bucket)
-        total_volume = sum(t.volume for t in bucket)
-        trade_days = {t.timestamp.date() for t in bucket}
+        volumes = trades.volume[bucket].tolist()
+        legs = trades.leg[bucket].tolist()
+        n_trades = len(prices)
+        total_volume = sum(volumes)
+        trade_days = set(days[bucket].tolist())
         zero_days = max(0, calendar.business_days_in_week(ws.week) - len(trade_days))
 
-        n_buy = sum(1 for t in bucket if t.leg == CUSTOMER_BUY)
-        n_sell = sum(1 for t in bucket if t.leg == CUSTOMER_SELL)
-        v_buy = sum(t.volume for t in bucket if t.leg == CUSTOMER_BUY)
-        v_sell = sum(t.volume for t in bucket if t.leg == CUSTOMER_SELL)
+        n_buy = legs.count(buy)
+        n_sell = legs.count(sell)
+        v_buy = sum(v for v, leg in zip(volumes, legs) if leg == buy)
+        v_sell = sum(v for v, leg in zip(volumes, legs) if leg == sell)
         n_cust = n_buy + n_sell
         v_cust = v_buy + v_sell
 
-        avg_price = sum(t.price for t in bucket) / n_trades
-        as_of = max(t.timestamp for t in bucket).date()
+        avg_price = sum(prices) / n_trades
+        as_of = max(trade_days)
 
         rows.append(
             FeatureRow(

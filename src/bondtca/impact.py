@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .ingest import Trade
+from .ingest import TradeTable
 
 EVENT_TYPES = (1, -1)
 CONDITION_LIMIT = 1e12
@@ -80,7 +80,7 @@ class SignSeries:
     @classmethod
     def from_signed_trades(
         cls,
-        trades: Sequence[Trade],
+        trades: TradeTable,
         alpha: float = 0.0,
         mids: Sequence[float] | None = None,
     ) -> "SignSeries":
@@ -89,22 +89,22 @@ class SignSeries:
         When per-trade mid estimates are not supplied, trade prices stand in
         and the fallback is flagged via ``mid_source``.
         """
-        events = [t for t in trades if t.epsilon != 0]
-        if not events:
+        events = trades.epsilon != 0
+        if not events.any():
             raise DataError("no signed events in input")
-        eps = np.array([t.epsilon for t in events], dtype=float)
-        vol = np.array([t.volume for t in events], dtype=float)
+        eps = trades.epsilon[events].astype(float)
+        vol = trades.volume[events]
         if mids is not None:
-            if len(mids) != len(events):
+            if len(mids) != len(eps):
                 raise DataError("mid series length must match signed events")
             prices = np.asarray(mids, dtype=float)
             source = "mids"
         else:
-            prices = np.array([t.price for t in events], dtype=float)
+            prices = trades.price[events]
             source = "trade_prices"
         mid_bp = 1e4 * (np.log(prices) - math.log(prices[0]))
         return cls(
-            cusip=events[0].cusip,
+            cusip=trades.cusips[trades.codes[np.argmax(events)]],
             epsilon=eps,
             volume=vol,
             event_type=eps.copy(),
@@ -126,13 +126,6 @@ class LagSeries:
         if idx < 0 or idx >= len(self.values):
             raise DataError(f"lag {lag} outside estimated range")
         return float(self.values[idx])
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[int, float]) -> "LagSeries":
-        lags = sorted(values)
-        if lags != list(range(lags[0], lags[-1] + 1)):
-            raise DataError("lag mapping must cover a contiguous range")
-        return cls(min_lag=lags[0], values=np.array([values[n] for n in lags], dtype=float))
 
 
 def _check_length(t: int, max_abs_lag: int) -> None:

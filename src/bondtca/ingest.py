@@ -12,7 +12,9 @@ import logging
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .calendars import BusinessCalendar
 from .errors import DataError, ParseError
@@ -28,6 +30,7 @@ REPORT_KINDS = (TRADE, CANCEL, CORRECTION, REVERSAL)
 CUSTOMER_BUY = "customer_buy"
 CUSTOMER_SELL = "customer_sell"
 DEALER_DEALER = "dealer_dealer"
+LEGS = (CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER)  # a TradeTable's leg codes index this
 
 PRINCIPAL = "principal"
 AGENT = "agent"
@@ -96,7 +99,7 @@ class RawTradeReport:
 
 @dataclass(slots=True)
 class Trade:
-    """A clean trade; classification sets its sign and RPT flag in place."""
+    """One row of ``clean.csv`` or ``signed.csv``; a TradeTable holds them as columns."""
 
     cusip: str
     k: int  # per-bond chronological index
@@ -106,6 +109,140 @@ class Trade:
     leg: str
     epsilon: int = 0  # +1 customer buy, -1 customer sell, 0 undeterminable
     is_rpt: bool = False
+
+
+_EPOCH, _SECOND = dt.datetime(1970, 1, 1), dt.timedelta(seconds=1)
+
+
+def _epoch_seconds(timestamp: dt.datetime) -> int:
+    """Seconds since 1970-01-01 of a whole-second naive timestamp."""
+    if timestamp.microsecond:
+        raise ValueError(f"trade timestamp {timestamp} is not a whole second")
+    return (timestamp - _EPOCH) // _SECOND
+
+
+# a TradeTable's per-row columns, in Trade's field order after the cusip
+TABLE_COLUMNS = ("k", "timestamp", "price", "volume", "leg", "epsilon", "is_rpt")
+_DTYPES = dict(
+    k=np.int64, timestamp="datetime64[s]", price=np.float64, volume=np.float64, leg=np.int8,
+    epsilon=np.int8, is_rpt=np.bool_,
+)
+
+
+@dataclass(eq=False)
+class TradeTable:
+    """Clean or signed trades as columns, one bond after another.
+
+    Bond i is ``cusips[i]`` and holds rows ``offsets[i]:offsets[i + 1]``.
+    Bonds come in cusip order, and each bond's rows keep their input order,
+    which is chronological in every file the pipeline writes. ``leg`` holds
+    codes into LEGS. A bond's view (``group_by_cusip``) shares the columns,
+    so classification writes through it into the table.
+    """
+
+    cusips: tuple[str, ...]
+    offsets: np.ndarray
+    k: np.ndarray
+    timestamp: np.ndarray
+    price: np.ndarray
+    volume: np.ndarray
+    leg: np.ndarray
+    epsilon: np.ndarray
+    is_rpt: np.ndarray
+
+    @classmethod
+    def from_codes(cls, cusips: Sequence[str], codes: np.ndarray, **columns) -> "TradeTable":
+        """The rows, each of bond ``cusips[codes[i]]``; ``cusips`` is sorted.
+
+        Rows are grouped by bond with a stable sort, so each bond's rows keep
+        their order. ``k`` defaults to each bond's row number, ``epsilon``
+        and ``is_rpt`` to 0 and False.
+        """
+        columns.setdefault("epsilon", np.zeros(len(codes)))
+        columns.setdefault("is_rpt", np.zeros(len(codes)))
+        columns = {
+            name: np.ascontiguousarray(values, _DTYPES[name]) for name, values in columns.items()
+        }
+        if np.any(codes[1:] < codes[:-1]):
+            order = np.argsort(codes, kind="stable")
+            codes = codes[order]
+            columns = {name: values[order] for name, values in columns.items()}
+        offsets = np.searchsorted(codes, np.arange(len(cusips) + 1))
+        columns.setdefault("k", np.arange(len(codes)) - offsets[codes])
+        return cls(tuple(cusips), offsets, **columns)
+
+    @classmethod
+    def from_columns(cls, cusip: Sequence[str], **columns) -> "TradeTable":
+        """The rows of per-row ``cusip`` names and TABLE_COLUMNS values, as in
+        from_codes; legs are names, timestamps whole-second naive datetimes."""
+        cusips = sorted(set(cusip))
+        code_of = {name: i for i, name in enumerate(cusips)}
+        codes = np.fromiter(map(code_of.__getitem__, cusip), np.int64, len(cusip))
+        code_of_leg = {name: i for i, name in enumerate(LEGS)}
+        columns["leg"] = np.fromiter(map(code_of_leg.__getitem__, columns["leg"]), np.int8)
+        seconds = np.fromiter(map(_epoch_seconds, columns["timestamp"]), np.int64)
+        columns["timestamp"] = seconds.astype("datetime64[s]")
+        return cls.from_codes(cusips, codes, **columns)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Trade]) -> "TradeTable":
+        rows = list(rows)
+        return cls.from_columns(
+            [t.cusip for t in rows],
+            **{name: [getattr(t, name) for t in rows] for name in TABLE_COLUMNS},
+        )
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Each row's index into ``cusips``."""
+        return np.repeat(np.arange(len(self.cusips)), np.diff(self.offsets))
+
+    def groups(self, key: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """A stable order of the rows by (bond, ``key``), and the bounds of
+        each (bond, key) group in it: group i is ``order[bounds[i]:bounds[i + 1]]``,
+        its rows in table order."""
+        codes = self.codes
+        order = np.lexsort((key, codes))
+        codes, key = codes[order], key[order]
+        starts = np.flatnonzero((codes[1:] != codes[:-1]) | (key[1:] != key[:-1])) + 1
+        return order, [0, *starts.tolist(), len(order)] if len(order) else [0]
+
+    def __len__(self) -> int:
+        return int(self.offsets[-1])
+
+    def __iter__(self) -> Iterator[Trade]:
+        """The rows as Trade records."""
+        counts = np.diff(self.offsets).tolist()
+        cusip = [name for name, count in zip(self.cusips, counts) for _ in range(count)]
+        legs = np.array(LEGS, dtype=object)[self.leg]
+        return map(
+            Trade,
+            cusip,
+            *(getattr(self, name).tolist() for name in ("k", "timestamp", "price", "volume")),
+            legs.tolist(),
+            self.epsilon.tolist(),
+            self.is_rpt.tolist(),
+        )
+
+    def __getitem__(self, row: int) -> Trade:
+        """Row ``row`` as a Trade record."""
+        row = range(len(self))[row]  # a negative row counts from the end
+        bond = int(np.searchsorted(self.offsets, row, side="right")) - 1
+        k, timestamp, price, volume, leg, epsilon, is_rpt = (
+            getattr(self, name)[row].item() for name in TABLE_COLUMNS
+        )
+        return Trade(self.cusips[bond], k, timestamp, price, volume, LEGS[leg], epsilon, is_rpt)
+
+    def __eq__(self, other) -> bool:
+        """Equal to a table with the same columns, or to a list of its rows."""
+        if isinstance(other, list):
+            return list(self) == other
+        if not isinstance(other, TradeTable):
+            return NotImplemented
+        return self.cusips == other.cusips and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("offsets", *TABLE_COLUMNS)
+        )
 
 
 @dataclass(slots=True)
@@ -217,7 +354,7 @@ def filter_pipeline(
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
     lifecycle: LifecycleStats | None = None,
-) -> tuple[list[Trade], FilterReport]:
+) -> tuple[TradeTable, FilterReport]:
     """Apply filter steps 2..7 to settled trades and account for each step.
 
     When ``lifecycle`` stats are supplied, the reconciliation is reported as
@@ -267,14 +404,13 @@ def filter_pipeline(
     # Stable sort: chronological per bond, ties keep file order.
     current.sort(key=attrgetter("cusip", "exec_date", "exec_time"))
     combine = dt.datetime.combine
-    clean: list[Trade] = []
-    counters: dict[str, int] = {}
-    for t in current:
-        k = counters.get(t.cusip, 0)
-        counters[t.cusip] = k + 1
-        clean.append(
-            Trade(t.cusip, k, combine(t.exec_date, t.exec_time), t.price, t.volume, t.leg)
-        )
+    clean = TradeTable.from_columns(  # k: each bond's trades numbered from 0 in time order
+        [t.cusip for t in current],
+        timestamp=[combine(t.exec_date, t.exec_time) for t in current],
+        price=[t.price for t in current],
+        volume=[t.volume for t in current],
+        leg=[t.leg for t in current],
+    )
     return clean, FilterReport(steps=steps, lifecycle=lifecycle)
 
 
@@ -282,33 +418,39 @@ def ingest_reports(
     reports: Sequence[RawTradeReport],
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
-) -> tuple[list[Trade], FilterReport]:
+) -> tuple[TradeTable, FilterReport]:
     """Reconcile then filter, with full step 1..7 accounting."""
     settled, stats = reconcile_lifecycle(reports)
     return filter_pipeline(settled, calendar, irregular_codes, lifecycle=stats)
 
 
-def cap_volumes(trades: Sequence[Trade], grade_of: Mapping[str, str]) -> Sequence[Trade]:
+def cap_volumes(trades: TradeTable, grade_of: Mapping[str, str]) -> TradeTable:
     """Emulate Standard-tape truncation in place: 1MM cap for HY, 5MM for IG.
 
     Returns ``trades``.
     """
-    for t in trades:
-        grade = grade_of.get(t.cusip)
+    caps = []
+    for cusip in trades.cusips:
+        grade = grade_of.get(cusip)
         if grade == "HY":
-            cap = HY_VOLUME_CAP
+            caps.append(HY_VOLUME_CAP)
         elif grade == "IG":
-            cap = IG_VOLUME_CAP
+            caps.append(IG_VOLUME_CAP)
         else:
-            raise DataError(f"unknown grade for cusip {t.cusip}")
-        if t.volume > cap:
-            t.volume = cap
+            raise DataError(f"unknown grade for cusip {cusip}")
+    np.minimum(trades.volume, np.repeat(caps, np.diff(trades.offsets)), out=trades.volume)
     return trades
 
 
-def group_by_cusip(trades: Iterable[Trade]) -> dict[str, list[Trade]]:
-    """Group trades per bond, preserving order."""
-    grouped: dict[str, list[Trade]] = {}
-    for t in trades:
-        grouped.setdefault(t.cusip, []).append(t)
-    return grouped
+def group_by_cusip(trades: TradeTable) -> dict[str, TradeTable]:
+    """Each bond's rows as a view of ``trades``, in cusip order."""
+    return {
+        cusip: TradeTable(
+            (cusip,),
+            np.array([0, end - start]),
+            *(getattr(trades, name)[start:end] for name in TABLE_COLUMNS),
+        )
+        for cusip, start, end in zip(
+            trades.cusips, trades.offsets[:-1].tolist(), trades.offsets[1:].tolist()
+        )
+    }

@@ -16,11 +16,13 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .calendars import IsoWeek
 from .errors import ConfigError
-from .ingest import CUSTOMER_BUY, DEALER_DEALER, Trade
+from .ingest import CUSTOMER_BUY, DEALER_DEALER, LEGS, TradeTable, group_by_cusip
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +58,7 @@ class OneSidedSpread:
 
 
 def estimate_spreads(
-    trades: Sequence[Trade],
+    trades: TradeTable,
     delta_t: float = DEFAULT_DELTA_T,
     mid_convention: str = "paper",
 ) -> list[SpreadObservation]:
@@ -68,22 +70,32 @@ def estimate_spreads(
     if mid_convention not in MID_CONVENTIONS:
         raise ConfigError(f"mid_convention must be one of {MID_CONVENTIONS}")
     sign = -1.0 if mid_convention == "paper" else 1.0
+    eps = trades.epsilon
+    # the later trade b of each pair (b - 1, b): opposite signs, less than delta_t apart
+    later = 1 + np.flatnonzero(
+        (eps[:-1] != 0)
+        & (eps[1:] == -eps[:-1])
+        & (np.abs(np.diff(trades.timestamp.view(np.int64))) < delta_t)
+    )
     out: list[SpreadObservation] = []
-    for a, b in zip(trades, trades[1:]):
-        if a.epsilon == 0 or b.epsilon != -a.epsilon:
-            continue
-        if abs((b.timestamp - a.timestamp).total_seconds()) >= delta_t:
-            continue
-        psi = (b.price - a.price) * b.epsilon
-        mid = a.price + sign * b.epsilon * psi / 2.0
+    for price_a, price_b, eps_b, k, stamp in zip(
+        trades.price[later - 1].tolist(),
+        trades.price[later].tolist(),
+        eps[later].tolist(),
+        trades.k[later].tolist(),
+        trades.timestamp[later].tolist(),
+    ):
+        psi = (price_b - price_a) * eps_b
+        mid = price_a + sign * eps_b * psi / 2.0
+        cusip = trades.cusips[0]  # one bond
         if mid <= 0:
-            log.warning("degenerate mid %.6g for %s at k=%d; observation dropped", mid, b.cusip, b.k)
+            log.warning("degenerate mid %.6g for %s at k=%d; observation dropped", mid, cusip, k)
             continue
         out.append(
             SpreadObservation(
-                cusip=b.cusip,
-                k=b.k,
-                timestamp=b.timestamp,
+                cusip=cusip,
+                k=k,
+                timestamp=stamp,
                 psi=psi,
                 mid=mid,
                 s_bp=psi / mid * 1e4,
@@ -111,7 +123,7 @@ def aggregate_weekly(obs: Iterable[SpreadObservation]) -> list[WeeklySpread]:
 
 
 def one_sided_spreads_by_day(
-    trades: Iterable[Trade],
+    trades: TradeTable,
     min_volume: float = 100_000.0,
     exclusion_minutes: float = 15.0,
 ) -> list[OneSidedSpread]:
@@ -132,49 +144,53 @@ def one_sided_spreads_by_day(
     so a bond-day costs O((c + d) log d) for c customer and d dealer trades.
     """
     window = dt.timedelta(minutes=exclusion_minutes)
-    by_day: dict[tuple[str, dt.date], list[Trade]] = {}
-    for t in trades:
-        by_day.setdefault((t.cusip, t.timestamp.date()), []).append(t)
+    dealer, buy = LEGS.index(DEALER_DEALER), LEGS.index(CUSTOMER_BUY)
     out: list[OneSidedSpread] = []
-    for (cusip, day), day_trades in sorted(by_day.items()):
-        dealers = sorted(
-            (t for t in day_trades if t.leg == DEALER_DEALER and t.volume > min_volume),
-            key=lambda d: d.timestamp,
-        )
-        if not dealers:
-            continue
-        times = [d.timestamp for d in dealers]
-        pv_sum = list(accumulate((d.price * d.volume for d in dealers), initial=0.0))
-        v_sum = list(accumulate((d.volume for d in dealers), initial=0.0))
-        n = len(dealers)
-        buy_pv = buy_v = sell_pv = sell_v = 0.0
-        ref_any = None
-        for t in day_trades:
-            if t.leg == DEALER_DEALER:
-                continue
-            lo = bisect_left(times, t.timestamp - window)
-            hi = bisect_right(times, t.timestamp + window)
-            if lo == 0 and hi == n:
-                continue  # every qualifying trade is inside the window
-            pv = pv_sum[lo] + (pv_sum[n] - pv_sum[hi])
-            v = v_sum[lo] + (v_sum[n] - v_sum[hi])
-            ref = pv / v
-            ref_any = ref
-            if t.leg == CUSTOMER_BUY:
-                buy_pv += (t.price - ref) / ref * t.volume
-                buy_v += t.volume
-            else:
-                sell_pv += (ref - t.price) / ref * t.volume
-                sell_v += t.volume
-        if ref_any is None:
-            continue
-        out.append(
-            OneSidedSpread(
-                cusip=cusip,
-                day=day,
-                spread_buy=buy_pv / buy_v if buy_v > 0 else None,
-                spread_sell=sell_pv / sell_v if sell_v > 0 else None,
-                reference_price=ref_any,
+    for cusip, bond in group_by_cusip(trades).items():  # one bond's lists at a time
+        days = bond.timestamp.astype("datetime64[D]")
+        order, bounds = bond.groups(days)
+        days, stamps = days[order].tolist(), bond.timestamp[order].tolist()
+        price, volume = bond.price[order].tolist(), bond.volume[order].tolist()
+        leg = bond.leg[order].tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            dealers = sorted(
+                (i for i in range(start, end) if leg[i] == dealer and volume[i] > min_volume),
+                key=stamps.__getitem__,
             )
-        )
+            if not dealers:
+                continue
+            times = [stamps[d] for d in dealers]
+            pv_sum = list(accumulate((price[d] * volume[d] for d in dealers), initial=0.0))
+            v_sum = list(accumulate((volume[d] for d in dealers), initial=0.0))
+            n = len(dealers)
+            buy_pv = buy_v = sell_pv = sell_v = 0.0
+            ref_any = None
+            for i in range(start, end):
+                if leg[i] == dealer:
+                    continue
+                lo = bisect_left(times, stamps[i] - window)
+                hi = bisect_right(times, stamps[i] + window)
+                if lo == 0 and hi == n:
+                    continue  # every qualifying trade is inside the window
+                pv = pv_sum[lo] + (pv_sum[n] - pv_sum[hi])
+                v = v_sum[lo] + (v_sum[n] - v_sum[hi])
+                ref = pv / v
+                ref_any = ref
+                if leg[i] == buy:
+                    buy_pv += (price[i] - ref) / ref * volume[i]
+                    buy_v += volume[i]
+                else:
+                    sell_pv += (ref - price[i]) / ref * volume[i]
+                    sell_v += volume[i]
+            if ref_any is None:
+                continue
+            out.append(
+                OneSidedSpread(
+                    cusip=cusip,
+                    day=days[start],
+                    spread_buy=buy_pv / buy_v if buy_v > 0 else None,
+                    spread_sell=sell_pv / sell_v if sell_v > 0 else None,
+                    reference_price=ref_any,
+                )
+            )
     return out

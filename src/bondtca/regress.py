@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -596,12 +596,3 @@ def relative_error(truth: Sequence[float], pred: Sequence[float]) -> float:
         raise DataError("relative error undefined for zero truth entries")
     return float(np.mean(np.abs(t - p) / np.abs(t)))
 
-
-def predict(fit: FitResult, row: Mapping[str, float]) -> float:
-    """Apply a fitted model to one feature mapping."""
-    total = float(fit.theta[0])
-    for j, name in enumerate(fit.feature_names, start=1):
-        if name not in row:
-            raise DataError(f"missing feature {name!r} for prediction")
-        total += float(fit.theta[j]) * float(row[name])
-    return total

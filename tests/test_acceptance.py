@@ -24,7 +24,7 @@ from bondtca.impact import (
     solve_tim2,
 )
 from bondtca.impact import ImpactKernel
-from bondtca.ingest import cap_volumes, ingest_reports
+from bondtca.ingest import TradeTable, cap_volumes, ingest_reports
 from bondtca.microstructure import estimate_spreads
 from bondtca.regress import (
     Dataset,
@@ -263,7 +263,7 @@ def test_criterion_08_classification_oracle(parse_tape):
             make_trade(k=i, volume=v, leg=leg)
             for i, (v, leg) in enumerate(zip(volumes, tape_legs))
         ]
-        got = [t.is_rpt for t in classify_bond(trades)]
+        got = [t.is_rpt for t in classify_bond(TradeTable.from_rows(trades))]
         want = brute_force_rpt_flags(list(volumes), tape_legs)
         mismatches += got != want
 
@@ -341,7 +341,7 @@ def test_criterion_10_spread_and_caps():
         )
     spread_ok = True
     for conv in ("paper", "corrected"):
-        obs = estimate_spreads(trades, mid_convention=conv)
+        obs = estimate_spreads(TradeTable.from_rows(trades), mid_convention=conv)
         spread_ok &= len(obs) == 59
         for o in obs:
             spread_ok &= o.psi == 2 * h
@@ -350,10 +350,12 @@ def test_criterion_10_spread_and_caps():
     rng = np.random.default_rng(110)
     volumes = rng.uniform(1e3, 2e7, size=200)
     hy = cap_volumes(
-        [make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "HY"}
+        TradeTable.from_rows(make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)),
+        {"TESTCUSIP": "HY"},
     )
     ig = cap_volumes(
-        [make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)], {"TESTCUSIP": "IG"}
+        TradeTable.from_rows(make_trade(k=i, volume=float(v)) for i, v in enumerate(volumes)),
+        {"TESTCUSIP": "IG"},
     )
     caps_ok = all(t.volume <= 1_000_000.0 for t in hy)
     caps_ok &= all(t.volume <= 5_000_000.0 for t in ig)

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from bondtca import artifacts
 from bondtca.calendars import IsoWeek
-from bondtca.classify import classify_bond
+from bondtca.classify import classify_bond, classify_trades
 from bondtca.cli import main
-from bondtca.errors import NumericalError
+from bondtca.errors import NumericalError, ParseError
 from bondtca.features import GRADE_INDICATORS, GRADES, SECTOR_INDICATORS, SECTORS
+from bondtca.ingest import Trade, TradeTable
 from conftest import make_trade
 
 DECLARATIONS = {
@@ -26,10 +27,11 @@ CUSIP = st.text(alphabet="#ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789", min_size=1, ma
 BY_CODEC = {
     artifacts.TEXT: CUSIP,
     artifacts.INT: st.integers(),
+    artifacts.INT64: st.integers(-(2**63), 2**63 - 1),
     artifacts.FLOAT: FINITE,
     artifacts.POSITIVE_FLOAT: st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     artifacts.OPTIONAL_FLOAT: st.none() | FINITE,
-    artifacts.TIMESTAMP: st.datetimes(),
+    artifacts.TIMESTAMP: st.datetimes().map(lambda t: t.replace(microsecond=0)),
     artifacts.DATE: st.dates(),
     artifacts.WEEK: st.dates().map(IsoWeek.of),
     artifacts.CLOCK_TIME: st.times().map(lambda t: t.replace(microsecond=0)),
@@ -99,7 +101,9 @@ def test_declaration_round_trip(tmp_path, name, data):
 
 
 def test_classified_trades_write_six_columns_to_clean_csv(tmp_path):
-    trades = classify_bond([make_trade(k=0), make_trade(k=1, leg="customer_sell")])
+    trades = classify_bond(
+        TradeTable.from_rows([make_trade(k=0), make_trade(k=1, leg="customer_sell")])
+    )
     assert all(t.is_rpt for t in trades)
     path = tmp_path / "clean.csv"
     artifacts.write_clean_trades(path, trades)
@@ -144,10 +148,145 @@ def test_degenerate_welch_t_is_written_as_null(tmp_path):
                 make_trade(k=k, timestamp=base + dt.timedelta(minutes=minutes), price=price,
                            volume=200_000.0, leg=leg)
             )
-    artifacts.write_signed_trades(tmp_path / "signed.csv", trades)
+    artifacts.write_signed_trades(tmp_path / "signed.csv", TradeTable.from_rows(trades))
     out = tmp_path / "report.json"
     assert main(["report", "--signed", str(tmp_path / "signed.csv"), "--out-report", str(out)]) == 0
     asymmetry = strict_json(out.read_text())["data"]["asymmetry"]
     assert asymmetry["welch_t"] is None
     assert asymmetry["p_value"] == 0.0
     assert asymmetry["mean_spread_buy_bp"] > asymmetry["mean_spread_sell_bp"]
+
+
+# -- the trade files' column reader and writer, against the row path ----------
+
+# field texts at the edge of what one reader or the other takes: numpy reads
+# year 0 but Python does not, Python reads 1_000 and Arabic-Indic digits but
+# numpy does not, and a numpy S field cuts a long text silently
+EDGE_TEXTS = {
+    "cusip": [
+        "A,B", '"A,B"', 'A"B', '"A""B"', "#HASH", "é", "X" * 31, "X" * 32, "X" * 64, " A", "",
+        "A\x00", "A\r",
+    ],
+    "k": [
+        "1_000", "٣", "+7", " 7", "-0", "1.0", "9223372036854775808", "99999999999999999999", "",
+    ],
+    "timestamp": [
+        "0000-01-01 00:00:00", "2015-02-29 10:00:00", "2016-02-29 10:00:00", "2015-01-05 24:00:00",
+        "2015-01-05 10:00:60", "2015-01-05T10:00", "2015-01-05X10:00:00", "2015-01-05 10:00:00.5",
+        "20150105 10:00:00", "2015-W02-1 10:00", "2015-01-05 10:00:00+01:00", "2015-1-5 1:2:3",
+        "٢٠١٥-01-05 10:00:00", "9999-12-31 23:59:59", "0001-01-01 00:00:00",
+    ],
+    "price": [
+        "1e400", "infinity", "nan", "1_000.5", "٣", " 101.5", "101.5 ", "1e-400", "0x1p3", "-1.0",
+        "0.0", "+.5", "5.", "",
+    ],
+    "leg": ["customer_sellX", "customer_sel", "Customer_buy", " dealer_dealer", "dealer_dealer "],
+    "epsilon": ["-0", "+1", "01", " 1", "2", "-10"],
+    "is_rpt": ["00", "true", "2", " 1", "1 "],
+}
+EDGE_TEXTS["volume"] = EDGE_TEXTS["price"]
+CANONICAL_TEXTS = {
+    "cusip": CUSIP,
+    "k": st.integers(-(2**63), 2**63 - 1).map(str),
+    "timestamp": st.datetimes().map(lambda t: t.replace(microsecond=0).isoformat(" ")),
+    "price": POSITIVE.map(repr),
+    "volume": POSITIVE.map(repr),
+    "leg": st.sampled_from(["customer_buy", "customer_sell", "dealer_dealer"]),
+    "epsilon": st.sampled_from(["-1", "0", "1"]),
+    "is_rpt": st.sampled_from(["0", "1"]),
+}
+
+
+def read_by_rows(path, artifact):
+    """The row path's table, or its ParseError."""
+    try:
+        return TradeTable.from_rows(artifacts._read(path, artifact))
+    except ParseError as exc:
+        return exc
+
+
+@pytest.mark.parametrize(
+    "artifact, read",
+    [
+        (artifacts.CLEAN, artifacts.read_clean_trades),
+        (artifacts.SIGNED, artifacts.read_signed_trades),
+    ],
+    ids=["CLEAN", "SIGNED"],
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_column_reader_matches_the_row_path(tmp_path, artifact, read, data):
+    edge = data.draw(st.booleans())
+    rows = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        fields = [data.draw(CANONICAL_TEXTS[name]) for name in artifact.columns]
+        if edge:
+            column = data.draw(st.integers(0, len(fields) - 1))
+            fields[column] = data.draw(st.sampled_from(EDGE_TEXTS[artifact.header[column]]))
+        rows.append(",".join(fields))
+    path = tmp_path / "trades.csv"
+    path.write_bytes(
+        "\n".join([artifacts.meta_line({"seed": 1}), ",".join(artifact.header), *rows, ""]).encode()
+    )
+    want = read_by_rows(path, artifact)
+    fast = artifacts._read_table(path, artifact)
+    if fast is not None:
+        assert isinstance(want, TradeTable) and fast == want
+    elif not edge:
+        pytest.fail("the column reader deferred on canonical text")
+    if isinstance(want, ParseError):
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == str(want)
+    else:
+        assert read(path) == want
+
+
+TRADE_ROWS = st.builds(
+    Trade,
+    cusip=st.text(alphabet='AB,"#é \n', max_size=4),
+    k=st.integers(-(2**63), 2**63 - 1),
+    timestamp=st.datetimes().map(lambda t: t.replace(microsecond=0)),
+    price=POSITIVE,
+    volume=POSITIVE,
+    leg=st.sampled_from(["customer_buy", "customer_sell", "dealer_dealer"]),
+    epsilon=st.sampled_from([-1, 0, 1]),
+    is_rpt=st.booleans(),
+)
+
+
+@pytest.mark.parametrize("artifact", [artifacts.CLEAN, artifacts.SIGNED], ids=["CLEAN", "SIGNED"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(TRADE_ROWS, max_size=6))
+def test_column_writer_matches_the_row_path(tmp_path, artifact, rows):
+    table = TradeTable.from_rows(rows)
+    artifacts._write_table(tmp_path / "columns.csv", artifact, table, {"seed": 1})
+    artifacts._write(tmp_path / "rows.csv", artifact, table, {"seed": 1})
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+QUOTED_CUSIPS = ["A,B", 'A"B', '"', ",", 'SYN,"1"']
+
+
+def test_quoted_cusip_round_trips_through_the_trade_files(tmp_path, capsys):
+    trades = TradeTable.from_rows(
+        make_trade(k=k, cusip=cusip, timestamp=make_trade().timestamp + dt.timedelta(minutes=k),
+                   leg=leg, epsilon=0)
+        for cusip in [*QUOTED_CUSIPS, "PLAIN"]
+        for k, leg in enumerate(["customer_buy", "customer_sell", "dealer_dealer"])
+    )
+    clean, signed = tmp_path / "clean.csv", tmp_path / "signed.csv"
+    artifacts.write_clean_trades(clean, trades)
+    assert artifacts._read_table(clean, artifacts.CLEAN) is None  # quotes: the row path reads it
+    assert artifacts.read_clean_trades(clean) == trades
+    rows = clean.read_text().splitlines()[2:]
+    assert rows[:2] == ['"""",0,2015-01-05 10:00:00,100.0,50000.0,customer_buy',
+                        '"""",1,2015-01-05 10:01:00,100.0,50000.0,customer_sell']
+    assert '"A,B",0,2015-01-05 10:00:00,100.0,50000.0,customer_buy' in rows
+    assert main(["classify", "--clean", str(clean), "--out-signed", str(signed)]) == 0
+    assert capsys.readouterr().out == "classified 18 trades, 12 RPT legs\n"
+    classified = classify_trades(TradeTable.from_rows(trades))
+    assert artifacts.read_signed_trades(signed) == classified
+    artifacts.write_signed_trades(tmp_path / "copy.csv", classified)
+    rows_of = lambda path: path.read_text().split("\n", 1)[1]  # noqa: E731
+    assert rows_of(tmp_path / "copy.csv") == rows_of(signed)

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from bondtca.calendars import BusinessCalendar
 from bondtca.classify import classify_bond, classify_trades
-from bondtca.ingest import ingest_reports
+from bondtca.ingest import TradeTable, ingest_reports
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
 from conftest import make_trade
@@ -13,7 +13,9 @@ BUY_SELL = ["customer_buy", "customer_sell"]
 
 def trades_with(volumes, legs=None):
     legs = legs or ["customer_buy"] * len(volumes)
-    return [make_trade(k=i, volume=v, leg=leg) for i, (v, leg) in enumerate(zip(volumes, legs))]
+    return TradeTable.from_rows(
+        make_trade(k=i, volume=v, leg=leg) for i, (v, leg) in enumerate(zip(volumes, legs))
+    )
 
 
 def rpt_pairs(volumes, legs):
@@ -75,17 +77,19 @@ class TestAssignSigns:
     """Each case starts from a trade whose sign and flag are wrong."""
 
     def test_buy_is_plus_one(self):
-        [t] = classify_bond([make_trade(leg="customer_buy", epsilon=0, is_rpt=True)])
+        [t] = classify_bond(
+            TradeTable.from_rows([make_trade(leg="customer_buy", epsilon=0, is_rpt=True)])
+        )
         assert t.epsilon == 1 and not t.is_rpt
 
     def test_rpt_sell_is_zero(self):
         buy = make_trade(k=0, leg="customer_buy")
         sell = make_trade(k=1, leg="customer_sell", epsilon=-1, is_rpt=False)
-        classify_bond([buy, sell])
+        _, sell = classify_bond(TradeTable.from_rows([buy, sell]))
         assert sell.epsilon == 0 and sell.is_rpt
 
     def test_dealer_dealer_is_zero(self):
-        [t] = classify_bond([make_trade(leg="dealer_dealer", epsilon=1)])
+        [t] = classify_bond(TradeTable.from_rows([make_trade(leg="dealer_dealer", epsilon=1)]))
         assert t.epsilon == 0
 
     def test_sign_never_contradicts_leg(self):
@@ -149,10 +153,10 @@ def test_classify_matches_brute_force(data):
 @settings(max_examples=200)
 def test_classifying_twice_gives_the_same_result(data):
     """classify_bond overwrites every flag and sign, so stale ones do not leak."""
-    trades = [
+    trades = TradeTable.from_rows(
         make_trade(k=i, volume=float(v), leg=leg, epsilon=int(stale), is_rpt=stale)
         for i, (v, leg, stale) in enumerate(data)
-    ]
+    )
     once = [(t.is_rpt, t.epsilon) for t in classify_bond(trades)]
     twice = [(t.is_rpt, t.epsilon) for t in classify_bond(trades)]
     fresh = trades_with([float(v) for v, _, _ in data], [leg for _, leg, _ in data])

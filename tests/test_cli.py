@@ -314,6 +314,35 @@ MALFORMED_ARTIFACTS = {
         "features.csv", feature_line(iso_week="2015-W99"), ["fit", "--features", "features.csv"],
         "iso_week",
     ),
+    # a timestamp is exactly YYYY-MM-DD HH:MM:SS on every Python
+    "t_separated_timestamp": (
+        "signed.csv", SIGNED_ROW.replace("2015-01-05 10:00:00", "2015-01-05T10:00"),
+        ["spread", "--signed", "signed.csv"], "timestamp",
+    ),
+    "x_separated_timestamp": (
+        "signed.csv", SIGNED_ROW.replace("2015-01-05 10:00:00", "2015-01-05X10:00:00"),
+        ["report", "--signed", "signed.csv"], "timestamp",
+    ),
+    "fractional_timestamp": (
+        "signed.csv", SIGNED_ROW.replace("10:00:00", "10:00:00.5"),
+        ["report", "--signed", "signed.csv"], "timestamp",
+    ),
+    "year_zero_timestamp": (
+        "signed.csv", SIGNED_ROW.replace("2015-01-05", "0000-01-01"),
+        ["report", "--signed", "signed.csv"], "timestamp",
+    ),
+    "week_date_timestamp": (
+        "clean.csv", CLEAN_ROW.replace("2015-01-05", "2015-W02-1"),
+        ["classify", "--clean", "clean.csv"], "timestamp",
+    ),
+    "basic_date_timestamp": (
+        "clean.csv", CLEAN_ROW.replace("2015-01-05", "20150105"),
+        ["classify", "--clean", "clean.csv"], "timestamp",
+    ),
+    "k_beyond_int64": (
+        "clean.csv", CLEAN_ROW.replace("A,0,", "A,9223372036854775808,"),
+        ["classify", "--clean", "clean.csv"], "k",
+    ),
 }
 
 
@@ -369,6 +398,28 @@ def test_undecodable_input_ends_in_a_documented_exit(workdir, capsys, name, data
     assert name in error["message"] and "UTF-8" in error["message"]
     if code == 3:
         assert "row 3" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "column, text",
+    [
+        ("exec_date", "20150105"),
+        ("exec_date", "2015-W02-1"),
+        ("exec_date", "2015-1-5"),
+        ("exec_time", "1:2:3"),
+        ("exec_time", "+10:00:00"),
+        ("exec_time", " 10:00:00"),
+        ("exec_time", "10:0_0:00"),
+        ("exec_time", "١٠:٠٠:٠٠"),
+    ],
+)
+def test_tape_date_and_time_are_fixed_width(workdir, capsys, column, text):
+    field = {"exec_date": "date", "exec_time": "time"}[column]
+    Path("tape.csv").write_bytes(tape_csv([trade_row("A"), trade_row("B", **{field: text})]))
+    assert run(["ingest", "--tape", "tape.csv"]) == 3
+    error = read_err(capsys)
+    assert error["error"] == "ParseError"
+    assert "row 3" in error["message"] and f"column {column!r}" in error["message"]
 
 
 def test_cusip_beginning_with_hash_is_a_row(workdir, capsys):

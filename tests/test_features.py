@@ -14,6 +14,7 @@ from bondtca.features import (
     duration,
     weekly_volatility,
 )
+from bondtca.ingest import TradeTable
 from bondtca.microstructure import WeeklySpread
 
 from conftest import make_trade, ts
@@ -120,7 +121,9 @@ class TestFeatureMatrix:
 
     def build(self, trades, weekly=None):
         weekly = weekly or [WeeklySpread("TESTCUSIP", self.week, 50.0, 4)]
-        return build_feature_matrix(weekly, trades, self.refs, self.context, self.calendar)
+        return build_feature_matrix(
+            weekly, TradeTable.from_rows(trades), self.refs, self.context, self.calendar
+        )
 
     def test_trading_activity_log10(self):
         trades = [
@@ -161,7 +164,7 @@ class TestFeatureMatrix:
         trades = [make_trade(k=i, price=100.0 + 0.1 * i, cusip="GHOST") for i in range(3)]
         weekly = [WeeklySpread("GHOST", self.week, 50.0, 2)]
         with pytest.raises(DataError, match="GHOST"):
-            build_feature_matrix(weekly, trades, self.refs, self.context, self.calendar)
+            self.build(trades, weekly)
 
     def test_missing_context_errors(self):
         trades = [make_trade(k=i, price=100.0 + 0.1 * i) for i in range(3)]
@@ -171,7 +174,7 @@ class TestFeatureMatrix:
             for i in range(3)
         ]
         with pytest.raises(DataError, match="2015-W30"):
-            build_feature_matrix(weekly, trades, self.refs, self.context, self.calendar)
+            self.build(trades, weekly)
 
     def test_indicators_one_hot(self):
         trades = [make_trade(k=i, price=100.0 + 0.1 * (i % 3), timestamp=ts(600.0 * i)) for i in range(6)]

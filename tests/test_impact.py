@@ -22,6 +22,7 @@ from bondtca.impact import (
     solve_tim2,
     solve_tim2_system,
 )
+from bondtca.ingest import TradeTable
 from bondtca.synthgen import KernelSpec, SignProcess, SynthConfig, generate_tim_series
 
 from conftest import make_trade, ts
@@ -50,8 +51,15 @@ def test_sign_series_rejects_non_finite(volume, mid, alpha):
         series_from([1, -1], mid, volume=volume, alpha=alpha)
 
 
+def lag_series(values):
+    """A LagSeries from a {lag: value} mapping over a contiguous range of lags."""
+    lags = sorted(values)
+    assert lags == list(range(lags[0], lags[-1] + 1)), "lags must be contiguous"
+    return LagSeries(min_lag=lags[0], values=np.array([values[n] for n in lags], dtype=float))
+
+
 def delta_series(c0=1.0, lo=-15, hi=25):
-    return LagSeries.from_mapping({n: (c0 if n == 0 else 0.0) for n in range(lo, hi + 1)})
+    return lag_series({n: (c0 if n == 0 else 0.0) for n in range(lo, hi + 1)})
 
 
 def kernel_from_g(g, l_lags=10) -> ImpactKernel:
@@ -170,7 +178,7 @@ class TestSolveTim1:
         c0 = 2.0
         corr = delta_series(c0=c0)
         sbar_values = {l: 0.1 * l for l in range(1, 11)}
-        resp = LagSeries.from_mapping(sbar_values)
+        resp = lag_series(sbar_values)
         g0 = 0.7
         kernel = solve_tim1(corr, resp, g0, 10, 10)
         for j in range(10):
@@ -178,7 +186,7 @@ class TestSolveTim1:
 
     def test_constant_kernel_fixed_point(self):
         corr = delta_series()
-        resp = LagSeries.from_mapping({l: 0.0 for l in range(1, 11)})
+        resp = lag_series({l: 0.0 for l in range(1, 11)})
         kernel = solve_tim1(corr, resp, g0=3.0, n_lags=10, l_lags=10)
         assert np.allclose(kernel.delta, 0.0, atol=1e-14)
         assert np.allclose(kernel.g, 3.0)
@@ -215,8 +223,8 @@ class TestSolveTim1:
         assert len(k.g) == 6
 
     def test_ill_conditioned_errors(self):
-        flat = LagSeries.from_mapping({n: 1.0 for n in range(-15, 16)})
-        resp = LagSeries.from_mapping({l: 0.1 for l in range(1, 11)})
+        flat = lag_series({n: 1.0 for n in range(-15, 16)})
+        resp = lag_series({l: 0.1 for l in range(1, 11)})
         with pytest.raises(NumericalError, match="ill-conditioned"):
             solve_tim1(flat, resp, 1.0, 10, 10)
 
@@ -235,12 +243,12 @@ class TestSolveTim1:
                     timestamp=ts(60.0 * i),
                 )
             )
-        s1 = SignSeries.from_signed_trades(trades)
+        s1 = SignSeries.from_signed_trades(TradeTable.from_rows(trades))
         scaled = [
             make_trade(k=t.k, price=t.price * 7.0, leg=t.leg, timestamp=t.timestamp)
             for t in trades
         ]
-        s2 = SignSeries.from_signed_trades(scaled)
+        s2 = SignSeries.from_signed_trades(TradeTable.from_rows(scaled))
         k1 = estimate_tim1(s1, 5, 5)
         k2 = estimate_tim1(s2, 5, 5)
         assert np.max(np.abs(k1.g - k2.g)) < 1e-9
@@ -317,13 +325,13 @@ class TestSolveTim2:
             vals = {0: 1.0}
             for lag in range(1, l + n + 1):
                 vals[lag] = vals[-lag] = 0.4 ** lag * rng.uniform(0.5, 1.0)
-            diag[pi] = LagSeries.from_mapping(
+            diag[pi] = lag_series(
                 {k: v * 0.5 for k, v in vals.items()}  # P(pi) = 1/2 weight
             )
-        zero = LagSeries.from_mapping({k: 0.0 for k in range(-(n + 1), l + 1)})
+        zero = lag_series({k: 0.0 for k in range(-(n + 1), l + 1)})
         ctilde = {(1, 1): diag[1], (-1, -1): diag[-1], (1, -1): zero, (-1, 1): zero}
         resp = {
-            pi: LagSeries.from_mapping({lag: 0.05 * lag * pi for lag in range(1, l + 1)})
+            pi: lag_series({lag: 0.05 * lag * pi for lag in range(1, l + 1)})
             for pi in (1, -1)
         }
         g0 = {1: 0.8, -1: 0.6}

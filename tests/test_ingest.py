@@ -9,6 +9,7 @@ from bondtca.artifacts import TAPE
 from bondtca.calendars import BusinessCalendar
 from bondtca.errors import DataError, ParseError
 from bondtca.ingest import (
+    TradeTable,
     cap_volumes,
     filter_pipeline,
     ingest_reports,
@@ -352,27 +353,29 @@ class TestPlantedFixture:
 class TestCapVolumes:
     def test_hy_capped(self):
         t = make_trade(volume=2_500_000.0)
-        out = cap_volumes([t], {"TESTCUSIP": "HY"})
+        out = cap_volumes(TradeTable.from_rows([t]), {"TESTCUSIP": "HY"})
         assert out[0].volume == 1_000_000.0
 
     def test_ig_below_cap_unchanged(self):
         t = make_trade(volume=400_000.0)
-        assert cap_volumes([t], {"TESTCUSIP": "IG"})[0].volume == 400_000.0
+        out = cap_volumes(TradeTable.from_rows([t]), {"TESTCUSIP": "IG"})
+        assert out[0].volume == 400_000.0
 
     def test_ig_at_cap_not_capped(self):
         t = make_trade(volume=5_000_000.0)
-        assert cap_volumes([t], {"TESTCUSIP": "IG"})[0].volume == 5_000_000.0
+        out = cap_volumes(TradeTable.from_rows([t]), {"TESTCUSIP": "IG"})
+        assert out[0].volume == 5_000_000.0
 
     def test_unknown_grade_errors(self):
         with pytest.raises(DataError, match="TESTCUSIP"):
-            cap_volumes([make_trade()], {})
+            cap_volumes(TradeTable.from_rows([make_trade()]), {})
 
     @given(
         volumes=st.lists(st.floats(1.0, 2e7), min_size=1, max_size=30),
         grade=st.sampled_from(["IG", "HY"]),
     )
     def test_never_increases_and_only_volume_changes(self, volumes, grade):
-        trades = [make_trade(k=i, volume=v) for i, v in enumerate(volumes)]
+        trades = TradeTable.from_rows(make_trade(k=i, volume=v) for i, v in enumerate(volumes))
         before = [dataclasses.replace(t) for t in trades]
         assert cap_volumes(trades, {"TESTCUSIP": grade}) is trades
         for old, new in zip(before, trades):

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from bondtca import artifacts
-from bondtca.classify import classify_bond
-from bondtca.ingest import parse_trace_csv
+from bondtca.classify import classify_bond, classify_trades
+from bondtca.ingest import TradeTable, group_by_cusip, parse_trace_csv
 from bondtca.microstructure import estimate_spreads
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
@@ -39,9 +39,25 @@ def clean_bond(cusip, rng):
 @pytest.fixture(scope="module")
 def tape():
     rng = random.Random(0)
-    clean = [clean_bond(f"BOND{b:05d}", rng) for b in range(BONDS)]
-    signed = [t for bond in clean for t in classify_bond(bond)]
-    return clean[0], signed
+    clean = TradeTable.from_rows(t for b in range(BONDS) for t in clean_bond(f"BOND{b:05d}", rng))
+    clean.epsilon[:] = 0  # clean.csv holds no signs
+    signed = classify_trades(TradeTable.from_rows(clean))
+    return clean, signed
+
+
+def test_read_clean_trades_benchmark(benchmark, tape, tmp_path):
+    clean, _ = tape
+    path = tmp_path / "clean.csv"
+    artifacts.write_clean_trades(path, clean)
+    rows = benchmark.pedantic(artifacts.read_clean_trades, args=(path,), rounds=3, iterations=1)
+    assert rows == clean
+
+
+def test_write_clean_trades_benchmark(benchmark, tape, tmp_path):
+    clean, _ = tape
+    path = tmp_path / "clean.csv"
+    benchmark.pedantic(artifacts.write_clean_trades, args=(path, clean), rounds=3, iterations=1)
+    assert len(path.read_text().splitlines()) == len(clean) + 2
 
 
 def test_read_signed_trades_benchmark(benchmark, tape, tmp_path):
@@ -73,14 +89,14 @@ def test_write_signed_trades_benchmark(benchmark, tape, tmp_path):
 
 
 def test_classify_bond_benchmark(benchmark, tape):
-    bond, _ = tape
+    bond = TradeTable.from_rows(group_by_cusip(tape[0])["BOND00000"])
     signed = benchmark.pedantic(classify_bond, args=(bond,), rounds=5, iterations=1)
     assert 0 < sum(t.is_rpt for t in signed) < len(bond)
 
 
 def test_estimate_spreads_benchmark(benchmark, tape):
     _, signed = tape
-    bond = signed[:TRADES_PER_BOND]
+    bond = group_by_cusip(signed)["BOND00000"]
     obs = benchmark.pedantic(estimate_spreads, args=(bond,), rounds=5, iterations=1)
     assert obs
 

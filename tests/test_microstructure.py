@@ -6,6 +6,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from bondtca.calendars import IsoWeek
 from bondtca.errors import ConfigError
+from bondtca.ingest import TradeTable
 from bondtca.microstructure import (
     OneSidedSpread,
     aggregate_weekly,
@@ -18,10 +19,12 @@ from conftest import make_trade, ts
 
 
 def pair(p0, p1, leg0, leg1, gap=120.0):
-    return [
-        make_trade(k=0, price=p0, leg=leg0, timestamp=ts(0)),
-        make_trade(k=1, price=p1, leg=leg1, timestamp=ts(gap)),
-    ]
+    return TradeTable.from_rows(
+        [
+            make_trade(k=0, price=p0, leg=leg0, timestamp=ts(0)),
+            make_trade(k=1, price=p1, leg=leg1, timestamp=ts(gap)),
+        ]
+    )
 
 
 class TestEstimateSpreads:
@@ -72,7 +75,7 @@ class TestEstimateSpreads:
             make_trade(k=1, price=100.5, leg="dealer_dealer", timestamp=ts(30)),
             make_trade(k=2, price=101.0, leg="customer_buy", timestamp=ts(60)),
         ]
-        assert estimate_spreads(trades) == []
+        assert estimate_spreads(TradeTable.from_rows(trades)) == []
 
     def test_alternating_constant_spread_tape(self):
         # buys at mid + h, sells at mid - h
@@ -91,7 +94,7 @@ class TestEstimateSpreads:
         # corrected places the mid at m exactly; the printed form lands one
         # full spread outside on the same side as the earlier trade
         for conv, offset in (("paper", 2 * h), ("corrected", 0.0)):
-            obs = estimate_spreads(trades, mid_convention=conv)
+            obs = estimate_spreads(TradeTable.from_rows(trades), mid_convention=conv)
             assert len(obs) == 39
             for o in obs:
                 assert o.psi == pytest.approx(2 * h, abs=1e-12)
@@ -105,7 +108,7 @@ class TestEstimateSpreads:
             make_trade(k=2, price=101.0, leg="customer_buy", timestamp=ts(120)),
             make_trade(k=3, price=101.0, leg="customer_buy", timestamp=ts(10_000)),
         ]
-        obs = estimate_spreads(trades)
+        obs = estimate_spreads(TradeTable.from_rows(trades))
         assert [o.k for o in obs] == [1]
         assert used_trades(obs) == 2  # half of the four trades
 
@@ -117,7 +120,7 @@ class TestEstimateSpreads:
             for t in base
         ]
         o1 = estimate_spreads(base)[0]
-        o2 = estimate_spreads(scaled)[0]
+        o2 = estimate_spreads(TradeTable.from_rows(scaled))[0]
         assert o2.psi == pytest.approx(o1.psi * scale, rel=1e-12)
         assert o2.mid == pytest.approx(o1.mid * scale, rel=1e-12)
         assert o2.s_bp == pytest.approx(o1.s_bp, rel=1e-9)
@@ -226,23 +229,25 @@ class TestReferencePrice:
             customer(0, "customer_buy", 101.0),
             dealer(3600, 102.0),
         ]
-        [day] = one_sided_spreads_by_day(trades)
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.reference_price == pytest.approx(101.0)
 
     def test_single_qualifying(self):
         trades = [customer(0, "customer_buy", 100.0), dealer(3600, 99.0)]
-        [day] = one_sided_spreads_by_day(trades)
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.reference_price == pytest.approx(99.0)
 
 
 class TestOneSided:
     def test_buy_spread(self):
-        [day] = one_sided_spreads_by_day([customer(0, "customer_buy", 101.0), dealer(3600, 100.0)])
+        trades = [customer(0, "customer_buy", 101.0), dealer(3600, 100.0)]
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.spread_buy == pytest.approx(0.01)
         assert day.spread_sell is None
 
     def test_buy_at_reference_is_zero(self):
-        [day] = one_sided_spreads_by_day([customer(0, "customer_buy", 100.0), dealer(3600, 100.0)])
+        trades = [customer(0, "customer_buy", 100.0), dealer(3600, 100.0)]
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.spread_buy == 0.0
 
     def test_volume_weighting(self):
@@ -251,12 +256,12 @@ class TestOneSided:
             customer(60, "customer_buy", 100.0, volume=100.0),
             dealer(3600, 100.0),
         ]
-        [day] = one_sided_spreads_by_day(trades)
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.spread_buy == pytest.approx(0.01 * 0.75)
 
     @pytest.mark.parametrize("trades, expected", ONE_SIDED_CASES.values(), ids=ONE_SIDED_CASES)
     def test_by_day(self, trades, expected):
-        rows = one_sided_spreads_by_day(trades)
+        rows = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert [(r.cusip, r.day) for r in rows] == [("TESTCUSIP", ts(0).date())] * len(expected)
         for row, want in zip(rows, expected):
             got = (row.spread_buy, row.spread_sell, row.reference_price)
@@ -273,7 +278,7 @@ class TestOneSided:
                 k=1, leg="dealer_dealer", price=100.0, volume=200_000.0, timestamp=ts(3600)
             ),
         ]
-        [day] = one_sided_spreads_by_day(trades)
+        [day] = one_sided_spreads_by_day(TradeTable.from_rows(trades))
         assert day.spread_buy == pytest.approx(0.01)
         assert day.spread_sell is None
 
@@ -332,7 +337,8 @@ def assert_matches_oracle(trades):
     Spreads are fractions that can be near zero, so they get an absolute
     tolerance; the reference is a price, so it gets a relative one.
     """
-    got, want = one_sided_spreads_by_day(trades), quadratic_one_sided(trades)
+    got = one_sided_spreads_by_day(TradeTable.from_rows(trades))
+    want = quadratic_one_sided(trades)
     assert [(r.cusip, r.day) for r in got] == [(r.cusip, r.day) for r in want]
     for g, w in zip(got, want):
         for name in ("spread_buy", "spread_sell"):
@@ -415,6 +421,6 @@ def test_one_sided_liquid_day_matches_quadratic_oracle():
 
 
 def test_one_sided_liquid_day_benchmark(benchmark):
-    trades = liquid_bond_day()
+    trades = TradeTable.from_rows(liquid_bond_day())
     rows = benchmark.pedantic(one_sided_spreads_by_day, args=(trades,), rounds=5, iterations=1)
     assert len(rows) == 1

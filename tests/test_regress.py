@@ -17,7 +17,6 @@ from bondtca.regress import (
     lasso_lambda_max,
     log_grid,
     post_refit,
-    predict,
     relative_error,
     select_by_ci,
     summarize_cv_scores,
@@ -317,43 +316,6 @@ class TestRelativeError:
     def test_zero_truth_errors(self):
         with pytest.raises(DataError):
             relative_error([0.0, 1.0], [1.0, 1.0])
-
-
-class TestPredict:
-    def make_fit(self):
-        from bondtca.regress import FitResult
-
-        return FitResult(
-            model="lslasso",
-            theta=np.array([86.0, 83.48, 39.07, -19.45, 0.23]),
-            support=(1, 2, 3, 4),
-            r_squared=0.5,
-            feature_names=("volatility", "trading_activity", "log_total_volume", "years_since_issuance"),
-        )
-
-    def test_published_coefficients_on_median_features(self):
-        row = {
-            "volatility": 0.646,
-            "trading_activity": 1.26,
-            "log_total_volume": 6.94,
-            "years_since_issuance": 3.0,
-        }
-        assert predict(self.make_fit(), row) == pytest.approx(54.86328, abs=1e-9)
-
-    def test_zero_features_give_intercept(self):
-        row = dict.fromkeys(self.make_fit().feature_names, 0.0)
-        assert predict(self.make_fit(), row) == pytest.approx(86.0)
-
-    def test_linearity_in_each_feature(self):
-        fit = self.make_fit()
-        row = dict.fromkeys(fit.feature_names, 1.0)
-        base = predict(fit, row)
-        row2 = dict(row, volatility=2.0)
-        assert predict(fit, row2) - base == pytest.approx(83.48, abs=1e-9)
-
-    def test_missing_feature_errors(self):
-        with pytest.raises(DataError, match="volatility"):
-            predict(self.make_fit(), {"trading_activity": 1.0})
 
 
 class TestStandardizationRoundTrip:
