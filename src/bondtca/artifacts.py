@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from . import __version__
-from .calendars import IsoWeek
+from .calendars import DATE_FORM, IsoWeek
 from .errors import BondTcaError, NumericalError, ParseError
 from .features import FEATURE_NAMES, BondReference, FeatureRow, MarketContext
 from .impact import ImpactKernel
@@ -135,7 +135,6 @@ def _int64(text: str) -> int:
     return value
 
 
-_DATE_FORM = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 _TIME_FORM = "[0-9]{2}:[0-9]{2}:[0-9]{2}"
 
 
@@ -191,10 +190,10 @@ POSITIVE_FLOAT = Codec(_positive, _float_text)
 OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
 # YYYY-MM-DD HH:MM:SS, YYYY-MM-DD and HH:MM:SS: no fraction, no UTC offset
 TIMESTAMP = Codec(
-    _fixed_form(f"{_DATE_FORM} {_TIME_FORM}", dt.datetime.fromisoformat),
+    _fixed_form(f"{DATE_FORM} {_TIME_FORM}", dt.datetime.fromisoformat),
     methodcaller("isoformat", " "),
 )
-DATE = Codec(_fixed_form(_DATE_FORM, dt.date.fromisoformat), dt.date.isoformat)
+DATE = Codec(_fixed_form(DATE_FORM, dt.date.fromisoformat), dt.date.isoformat)
 WEEK = Codec(IsoWeek.parse, attrgetter("label"))
 CLOCK_TIME = Codec(_fixed_form(_TIME_FORM, dt.time.fromisoformat), dt.time.isoformat)
 OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty)  # "" is None

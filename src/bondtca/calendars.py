@@ -1,18 +1,24 @@
 """Business-day calendars and ISO-week keys.
 
-The calendar is data, not code: holidays arrive as a file with one ISO date
-per line so the engine stays jurisdiction-neutral. Weekends are always
+The calendar is data, not code: holidays arrive as a file with one YYYY-MM-DD
+date per line so the engine stays jurisdiction-neutral. Weekends are always
 non-business days.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError
+
+# YYYY-MM-DD, the one form of a date in every input and artifact: 3.11's
+# fromisoformat also takes week dates (2015-W02-1) and basic dates
+# (20150106), 3.10's does not.
+DATE_FORM = "[0-9]{4}-[0-9]{2}-[0-9]{2}"
 
 
 class IsoWeek(NamedTuple):
@@ -67,6 +73,8 @@ class BusinessCalendar:
             if not text:
                 continue
             try:
+                if not re.fullmatch(DATE_FORM, text):
+                    raise ValueError(f"not of the form {DATE_FORM}")
                 days.add(dt.date.fromisoformat(text))
             except ValueError as exc:
                 raise ConfigError(f"bad holiday date {text!r} at {path}:{lineno}") from exc

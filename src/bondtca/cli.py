@@ -35,7 +35,7 @@ from .microstructure import (
     MID_CONVENTIONS, aggregate_weekly, estimate_spreads, one_sided_spreads_by_day, used_trades,
 )
 from .regress import (
-    DEFAULT_EN_ALPHAS, DEFAULT_LASSO_GRID, DEFAULT_RIDGE_GRID, Dataset, GridPoint, fit_ols,
+    DEFAULT_EN_ALPHAS, DEFAULT_LASSO_GRID, MODEL_FAMILIES, Dataset, GridPoint, fit_ols,
     k_fold_cv, relative_error, select_by_ci, _fit_for,
 )
 from .stats import welch_t
@@ -276,9 +276,7 @@ def _lambda_grid(text: str) -> tuple[float, ...]:
 
 
 def _grid_for(args) -> list[GridPoint]:
-    lams = args.lambda_grid
-    if lams is None:
-        lams = DEFAULT_RIDGE_GRID if args.model == "ridge" else DEFAULT_LASSO_GRID
+    lams = DEFAULT_LASSO_GRID if args.lambda_grid is None else args.lambda_grid
     if args.model == "en":
         return [GridPoint(float(l), a) for a in args.alpha for l in lams]
     return [GridPoint(float(l)) for l in lams]
@@ -549,7 +547,7 @@ def build_parser() -> BondTcaParser:
 
     t = add("fit", cmd_fit, "fit a cost benchmark with cross-validated penalties")
     t.add_argument("--features", type=Path, required=True)
-    t.add_argument("--model", choices=("ols", "ridge", "lasso", "lslasso", "en"), default="lslasso")
+    t.add_argument("--model", choices=MODEL_FAMILIES, default="lslasso")
     t.add_argument("--lambda-grid", type=_lambda_grid, help="lo:hi:num, log-spaced")
     t.add_argument(
         "--alpha", type=_mixing_list, default=DEFAULT_EN_ALPHAS,

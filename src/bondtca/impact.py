@@ -12,21 +12,16 @@ All series fed here are in event time with mid-prices in basis-point units
 (relative price changes), so bonds of different price levels are
 comparable and kernels come out in bp.
 
-Signature plots support two boundary conventions:
-
-* ``model``:   an event's impact enters the mid at its own index (matches
-               the generative mid-price equation; the default).
-* ``printed``: an event's impact starts one index later (the convention of
-               the published closed form).
-
-The two differ only in which kernel lags enter the sums.
+Signature plots let an event's impact enter the mid at its own index, as the
+generative mid-price equation does; the published closed form starts it one
+index later.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,24 +30,25 @@ from .ingest import TradeTable
 
 EVENT_TYPES = (1, -1)
 CONDITION_LIMIT = 1e12
-CONVENTIONS = ("model", "printed")
 
 
 @dataclass
 class SignSeries:
-    """Signed event series of one bond: sign, volume, type, bp-scale mid."""
+    """Signed event series of one bond: sign, volume, bp-scale mid.
+
+    An event's type is its sign: customer buys and sells are the two types.
+    """
 
     cusip: str
     epsilon: np.ndarray  # +1 / -1
     volume: np.ndarray
-    event_type: np.ndarray  # +1 / -1; equals epsilon under buy/sell typing
     mid: np.ndarray  # mid after each event, basis-point units
     alpha: float = 0.0
     mid_source: str = "mids"
 
     def __post_init__(self) -> None:
         t = len(self.epsilon)
-        if not (len(self.volume) == len(self.event_type) == len(self.mid) == t):
+        if not (len(self.volume) == len(self.mid) == t):
             raise DataError("sign series arrays must share one length")
         if np.any(self.epsilon == 0):
             raise DataError("zero-sign events must be excluded upstream")
@@ -107,7 +103,6 @@ class SignSeries:
             cusip=trades.cusips[trades.codes[np.argmax(events)]],
             epsilon=eps,
             volume=vol,
-            event_type=eps.copy(),
             mid=mid_bp,
             alpha=alpha,
             mid_source=source,
@@ -251,7 +246,7 @@ def estimate_tim1(series: SignSeries, n_lags: int = 10, l_lags: int = 10) -> Imp
 
 
 def _type_indicator(series: SignSeries, pi: int) -> np.ndarray:
-    return (series.event_type == pi).astype(float)
+    return (series.epsilon == pi).astype(float)
 
 
 def estimate_g0_by_type(series: SignSeries) -> dict[int, float]:
@@ -438,7 +433,7 @@ def solve_tim2(
     if l_lags < n_lags:
         raise DataError("need l_lags >= n_lags")
     for pi in EVENT_TYPES:
-        count = int((series.event_type == pi).sum())
+        count = int((series.epsilon == pi).sum())
         if count < min_type_events:
             raise DataError(
                 f"type {pi:+d} has {count} events; need at least {min_type_events}"
@@ -505,14 +500,52 @@ def fit_d_const(d_partial: np.ndarray, d_emp: np.ndarray) -> float:
     return float(np.mean(np.asarray(d_emp) - np.asarray(d_partial)))
 
 
-def _future_kernel_lags(l: int, convention: str) -> list[int]:
-    if convention == "printed":
-        return [l - n for n in range(l)]  # G(l) .. G(1)
-    return [l - 1 - n for n in range(l)]  # G(l-1) .. G(0)
+def _window_weights(kernel: ImpactKernel, n: int, l: int) -> np.ndarray:
+    """Each event's share of M(t+l) - M(t), at positions -(n-1) .. l.
+
+    The n past events (positions -(n-1) .. 0, m = n-1 .. 0 events before the
+    window) move it by G(l+m) - G(m), the l events inside the window
+    (positions 1 .. l) by G(l-1) .. G(0). Earlier events sit on the kernel's
+    permanent level at both ends and add nothing.
+    """
+    g = kernel.g[np.minimum(np.arange(n + l), kernel.n_lags)]  # extended to lag n + l - 1
+    m = np.arange(n - 1, -1, -1)
+    return np.concatenate([g[l + m] - g[m], g[l - 1 :: -1]])
 
 
-def _past_start(convention: str) -> int:
-    return 1 if convention == "printed" else 0
+def _quadratic_signature(
+    kernels: Sequence[ImpactKernel],
+    moment: Callable[[int], Sequence[Sequence[float]]],
+    mu: Sequence[float],
+    l_max: int,
+    d_const: float,
+) -> np.ndarray:
+    """Model signature l D(l) = w'Kw + l^2 drift^2 over one or more event types.
+
+    w[i, a] is what an event of type a at position i adds to M(t+l) - M(t)
+    (see ``_window_weights``). K[i, j, a, b] is ``moment(|i - j|)`` at
+    [type of the earlier event, type of the later one]: the centered joint
+    moment of the two events' signed volumes. The centering leaves out the
+    non-decaying mean-flow part of the moments, which telescopes under the
+    permanent-level kernel extension and is resummed exactly as a drift of
+    sum_a mu[a] G_a(N) per event.
+    """
+    n = max(k.n_lags for k in kernels)
+    # every lag 0 .. n + l_max - 1 enters; one beyond the estimates raises DataError
+    centered = np.array([moment(d) for d in range(n + l_max)], dtype=float)
+    index = np.arange(n + l_max)
+    gap = index[None, :] - index[:, None]
+    k = centered[np.abs(gap)]
+    k = np.where((gap >= 0)[:, :, None, None], k, k.transpose(0, 1, 3, 2))
+    out = np.empty(l_max)
+    for l in range(1, l_max + 1):
+        w = np.stack([_window_weights(kernel, n, l) for kernel in kernels], axis=1)
+        size = n + l  # the window of l shares K's top-left block with the longest one
+        # an elementwise sum, not BLAS: the bytes stay the same on every CPU
+        quad = float((w[:, None, :, None] * k[:size, :size] * w[None, :, None, :]).sum())
+        drift = sum(m * kernel.extended(n + l) for m, kernel in zip(mu, kernels))
+        out[l - 1] = quad / l + l * drift * drift + d_const
+    return out
 
 
 def model_signature_tim1(
@@ -520,7 +553,6 @@ def model_signature_tim1(
     corr: LagSeries,
     l_max: int,
     d_const: float = 0.0,
-    convention: str = "model",
     mean_flow: float = 0.0,
 ) -> np.ndarray:
     """Model-implied signature plot for the single-event kernel.
@@ -537,38 +569,10 @@ def model_signature_tim1(
     permanent-level extension it telescopes to a drift of
     mean_flow * G(N) per event.
     """
-    if convention not in CONVENTIONS:
-        raise DataError(f"convention must be one of {CONVENTIONS}")
-    n = kernel.n_lags
-    m0 = _past_start(convention)
     mu2 = mean_flow * mean_flow
-    out = np.empty(l_max)
-    for l in range(1, l_max + 1):
-        a = [kernel.extended(j) for j in _future_kernel_lags(l, convention)]
-        past = [
-            (m, kernel.extended(l + m) - kernel.extended(m))
-            for m in range(m0, n)  # zero beyond: both sides sit on the plateau
-        ]
-        # own-event terms carry the squared volume weight, i.e. C(0)
-        diag = (sum(v * v for v in a) + sum(v * v for _, v in past)) * (corr(0) - mu2)
-        t1 = 0.0
-        for p in range(len(a)):
-            for q in range(p + 1, len(a)):
-                t1 += a[p] * a[q] * (corr(q - p) - mu2)
-        t2 = 0.0
-        for i in range(len(past)):
-            mi, vi = past[i]
-            for j in range(i + 1, len(past)):
-                mj, vj = past[j]
-                t2 += vi * vj * (corr(mj - mi) - mu2)
-        t3 = 0.0
-        offset = 0 if convention == "printed" else 1
-        for p in range(len(a)):
-            for mi, vi in past:
-                t3 += a[p] * vi * (corr(p + mi + offset) - mu2)
-        drift = mean_flow * kernel.extended(n + l)  # the permanent level
-        out[l - 1] = (diag + 2.0 * (t1 + t2 + t3)) / l + l * drift * drift + d_const
-    return out
+    return _quadratic_signature(
+        [kernel], lambda d: [[corr(d) - mu2]], [mean_flow], l_max, d_const
+    )
 
 
 @dataclass
@@ -626,7 +630,6 @@ def model_signature_tim2(
     moments: PairMoments,
     l_max: int,
     d_const: float = 0.0,
-    convention: str = "model",
 ) -> np.ndarray:
     """Model-implied signature plot for the two-type kernels.
 
@@ -637,58 +640,13 @@ def model_signature_tim2(
     collapses exactly to the single-event formula evaluated on the merged
     correlation and mean flow.
     """
-    if convention not in CONVENTIONS:
-        raise DataError(f"convention must be one of {CONVENTIONS}")
-    n = max(k.n_lags for k in kernels.values())
-    m0 = _past_start(convention)
-    offset = 0 if convention == "printed" else 1
-    w = moments.centered
-    out = np.empty(l_max)
-    for l in range(1, l_max + 1):
-        fut_lags = _future_kernel_lags(l, convention)
-        a = {pi: [kernels[pi].extended(j) for j in fut_lags] for pi in EVENT_TYPES}
-        past: dict[int, list[tuple[int, float]]] = {
-            pi: [
-                (m, kernels[pi].extended(l + m) - kernels[pi].extended(m))
-                for m in range(m0, n)
-            ]
-            for pi in EVENT_TYPES
-        }
-        # Same-event terms, including the cross-type centering correction.
-        diag = 0.0
-        for pi in EVENT_TYPES:
-            for pj in EVENT_TYPES:
-                w0 = w(pi, pj, 0)
-                diag += sum(a[pi][p] * a[pj][p] for p in range(l)) * w0
-                diag += sum(
-                    va * vb for (_, va), (_, vb) in zip(past[pi], past[pj])
-                ) * w0
-        t1 = 0.0
-        for p in range(l):
-            for q in range(p + 1, l):
-                for pi in EVENT_TYPES:  # earlier event, position p
-                    for pj in EVENT_TYPES:  # later event, position q
-                        t1 += a[pi][p] * a[pj][q] * w(pi, pj, q - p)
-        t2 = 0.0
-        n_past = len(past[1])
-        for i in range(n_past):
-            for j in range(i + 1, n_past):
-                for pi in EVENT_TYPES:  # later past event (smaller m)
-                    mi, vi = past[pi][i]
-                    for pj in EVENT_TYPES:  # earlier past event (larger m)
-                        mj, vj = past[pj][j]
-                        t2 += vj * vi * w(pj, pi, mj - mi)
-        t3 = 0.0
-        for p in range(l):
-            for pi in EVENT_TYPES:  # future event, the later one
-                for pj in EVENT_TYPES:  # past event, the earlier one
-                    for mi, vi in past[pj]:
-                        t3 += a[pi][p] * vi * w(pj, pi, p + mi + offset)
-        drift = sum(
-            moments.mu[pi] * kernels[pi].extended(n + l) for pi in EVENT_TYPES
-        )
-        out[l - 1] = (diag + 2.0 * (t1 + t2 + t3)) / l + l * drift * drift + d_const
-    return out
+    return _quadratic_signature(
+        [kernels[pi] for pi in EVENT_TYPES],
+        lambda d: [[moments.centered(pi, pj, d) for pj in EVENT_TYPES] for pi in EVENT_TYPES],
+        [moments.mu[pi] for pi in EVENT_TYPES],
+        l_max,
+        d_const,
+    )
 
 
 def average_kernels(kernels: Sequence[ImpactKernel]) -> ImpactKernel:

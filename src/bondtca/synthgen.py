@@ -261,7 +261,6 @@ def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignS
         cusip=_bond_cusip(bond_index),
         epsilon=eps,
         volume=volumes,
-        event_type=eps.copy(),
         mid=mid,
         alpha=config.alpha,
         mid_source="mids",

@@ -212,6 +212,7 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv"], {"fit": {"seed": -1}}),
     (["fit", "--features", "features.csv", "--train-range", "2015-W99:2016-W01"], None),
     (["generate", "--events", 300, "--kernel-beta", -1], None),
+    (["fit", "--features", "features.csv"], {"fit": {"model": "ridge"}}),
 ]
 
 
@@ -385,6 +386,15 @@ UNDECODABLE = {
         ["generate", "--events", 300, "--calendar", "holidays.txt"], 2,
     ),
 }
+
+
+@pytest.mark.parametrize("line", ["2015-W02-1", "20150106"])
+def test_holiday_not_in_the_fixed_form_exit_2(workdir, capsys, line):
+    Path("holidays.txt").write_text(f"2015-01-01\n{line}\n")
+    assert run(["generate", "--events", 300, "--calendar", "holidays.txt"]) == 2
+    error = read_err(capsys)
+    assert error["error"] == "ConfigError"
+    assert f"{line!r} at holidays.txt:2" in error["message"]
 
 
 @pytest.mark.parametrize("name, data, argv, code", UNDECODABLE.values(), ids=UNDECODABLE)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bondtca.errors import DataError, NumericalError
 from bondtca.impact import (
+    EVENT_TYPES,
     ImpactKernel,
     LagSeries,
+    PairMoments,
     SignSeries,
     average_kernels,
     empirical_signature,
@@ -35,7 +39,6 @@ def series_from(eps, mid, volume=None, alpha=0.0):
         cusip="X",
         epsilon=eps,
         volume=volume,
-        event_type=eps.copy(),
         mid=np.asarray(mid, dtype=float),
         alpha=alpha,
     )
@@ -383,9 +386,8 @@ class TestModelSignatureTim1:
         g0 = 4.0
         kernel = kernel_from_g(np.full(11, g0))
         corr = delta_series()
-        for conv in ("model", "printed"):
-            d = model_signature_tim1(kernel, corr, 10, d_const=1.0, convention=conv)
-            assert np.allclose(d, g0 * g0 + 1.0, atol=1e-12)
+        d = model_signature_tim1(kernel, corr, 10, d_const=1.0)
+        assert np.allclose(d, g0 * g0 + 1.0, atol=1e-12)
 
     def test_estimated_kernel_tracks_empirical(self):
         cfg = SynthConfig(
@@ -400,27 +402,19 @@ class TestModelSignatureTim1:
         d_model = partial + fit_d_const(partial, emp.d)
         assert np.all(np.abs(d_model - emp.d) <= 3.0 * emp.se)
 
-    def test_printed_convention_differs_from_model(self):
-        g = 25.0 * np.exp(-0.4 * np.arange(11))
-        kernel = kernel_from_g(g)
-        corr = delta_series()
-        d_model = model_signature_tim1(kernel, corr, 10, convention="model")
-        d_printed = model_signature_tim1(kernel, corr, 10, convention="printed")
-        assert np.max(np.abs(d_model - d_printed)) > 10.0
-
-    def test_printed_formula_hand_check_iid(self):
-        # with C = delta, l D(l) = sum_{n=1..l} G(n)^2 + sum_{n>=1}(G(l+n)-G(n))^2
+    def test_formula_hand_check_iid(self):
+        # with C = delta, l D(l) = sum_{j=0..l-1} G(j)^2 + sum_{m>=0}(G(l+m)-G(m))^2
         g = np.array([5.0, 3.0, 2.0, 1.5, 1.0, 0.8])
         kernel = kernel_from_g(g)
         corr = delta_series()
-        d = model_signature_tim1(kernel, corr, 3, convention="printed")
+        d = model_signature_tim1(kernel, corr, 3)
 
         def g_ext(j):
             return g[min(j, 5)]
 
         for l in range(1, 4):
-            first = sum(g_ext(j) ** 2 for j in range(1, l + 1))
-            second = sum((g_ext(l + n) - g_ext(n)) ** 2 for n in range(1, 30))
+            first = sum(g_ext(j) ** 2 for j in range(l))
+            second = sum((g_ext(l + m) - g_ext(m)) ** 2 for m in range(30))
             assert d[l - 1] == pytest.approx((first + second) / l, abs=1e-12)
 
 
@@ -471,6 +465,169 @@ class TestModelSignatureTim2:
         d2 = model_signature_tim2(k2, moments, 10)
         d2 += fit_d_const(d2, emp.d)
         assert np.sum((d2 - emp.d) ** 2) < np.sum((d1 - emp.d) ** 2)
+
+
+def loop_signature_tim1(kernel, corr, l_max, d_const=0.0, mean_flow=0.0):
+    """``model_signature_tim1`` as partial sums over event pairs: its oracle.
+
+    Returns the signature and, per lag l, the largest absolute summand of
+    l D(l). Window events sit at positions 1..l (list ``a``), past events m
+    before the window at -m (list ``past``).
+    """
+    n = kernel.n_lags
+    mu2 = mean_flow * mean_flow
+    out, largest = np.empty(l_max), np.empty(l_max)
+    for l in range(1, l_max + 1):
+        a = [kernel.extended(l - 1 - p) for p in range(l)]  # G(l-1) .. G(0)
+        past = [(m, kernel.extended(l + m) - kernel.extended(m)) for m in range(n)]
+        diag_terms = [v * v * (corr(0) - mu2) for v in a + [v for _, v in past]]
+        t1 = [a[p] * a[q] * (corr(q - p) - mu2) for p in range(l) for q in range(p + 1, l)]
+        t2 = [
+            vi * vj * (corr(mj - mi) - mu2)
+            for i, (mi, vi) in enumerate(past)
+            for mj, vj in past[i + 1 :]
+        ]
+        t3 = [a[p] * vi * (corr(p + mi + 1) - mu2) for p in range(l) for mi, vi in past]
+        drift = mean_flow * kernel.extended(n + l)
+        quad = sum(diag_terms) + 2.0 * (sum(t1) + sum(t2) + sum(t3))
+        out[l - 1] = quad / l + l * drift * drift + d_const
+        terms = diag_terms + [2.0 * t for t in t1 + t2 + t3] + [l * l * drift * drift]
+        largest[l - 1] = max(abs(t) for t in terms)
+    return out, largest
+
+
+def loop_signature_tim2(kernels, moments, l_max, d_const=0.0):
+    """``model_signature_tim2`` as partial sums over event pairs and types: its
+    oracle, returning the signature and the largest summand as above."""
+    n = max(k.n_lags for k in kernels.values())
+    w = moments.centered
+    out, largest = np.empty(l_max), np.empty(l_max)
+    for l in range(1, l_max + 1):
+        a = {pi: [kernels[pi].extended(l - 1 - p) for p in range(l)] for pi in EVENT_TYPES}
+        past = {
+            pi: [(m, kernels[pi].extended(l + m) - kernels[pi].extended(m)) for m in range(n)]
+            for pi in EVENT_TYPES
+        }
+        pairs = [(pi, pj) for pi in EVENT_TYPES for pj in EVENT_TYPES]
+        diag_terms = []
+        for pi, pj in pairs:  # same-event terms, with the cross-type centering correction
+            diag_terms += [a[pi][p] * a[pj][p] * w(pi, pj, 0) for p in range(l)]
+            diag_terms += [
+                va * vb * w(pi, pj, 0) for (_, va), (_, vb) in zip(past[pi], past[pj])
+            ]
+        t1 = [  # earlier event of type pi at p, later one of type pj at q
+            a[pi][p] * a[pj][q] * w(pi, pj, q - p)
+            for p in range(l)
+            for q in range(p + 1, l)
+            for pi, pj in pairs
+        ]
+        t2 = [  # later past event of type pi (smaller m), earlier one of type pj
+            past[pj][j][1] * past[pi][i][1] * w(pj, pi, past[pj][j][0] - past[pi][i][0])
+            for i in range(n)
+            for j in range(i + 1, n)
+            for pi, pj in pairs
+        ]
+        t3 = [  # window event of type pi, past event of type pj
+            a[pi][p] * vi * w(pj, pi, p + mi + 1)
+            for p in range(l)
+            for pi, pj in pairs
+            for mi, vi in past[pj]
+        ]
+        drift = sum(moments.mu[pi] * kernels[pi].extended(n + l) for pi in EVENT_TYPES)
+        quad = sum(diag_terms) + 2.0 * (sum(t1) + sum(t2) + sum(t3))
+        out[l - 1] = quad / l + l * drift * drift + d_const
+        terms = diag_terms + [2.0 * t for t in t1 + t2 + t3] + [l * l * drift * drift]
+        largest[l - 1] = max(abs(t) for t in terms)
+    return out, largest
+
+
+VALUE = st.floats(-10.0, 10.0)
+MEAN_FLOW = st.floats(0.05, 2.0) | st.floats(-2.0, -0.05)
+
+
+def drawn_values(draw, size):
+    return np.array(draw(st.lists(VALUE, min_size=size, max_size=size)))
+
+
+@st.composite
+def drawn_kernel(draw):
+    return kernel_from_g(drawn_values(draw, draw(st.integers(1, 8)) + 1))
+
+
+def assert_matches_oracle(d, oracle, l_max, d_const):
+    expected, largest = oracle
+    lags = np.arange(1, l_max + 1)
+    assert np.all(np.abs(d - expected) <= 1e-12 * (largest / lags + abs(d_const)))
+
+
+class TestSignatureOracle:
+    """The quadratic form against the partial sums it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tim1_matches_the_loops(self, data):
+        kernel = data.draw(drawn_kernel())
+        l_max = data.draw(st.integers(1, 12))
+        lo = data.draw(st.integers(-3, 0))
+        size = kernel.n_lags + l_max - lo + data.draw(st.integers(0, 3))
+        corr = LagSeries(min_lag=lo, values=drawn_values(data.draw, size))
+        mean_flow, d_const = data.draw(MEAN_FLOW), data.draw(VALUE)
+        d = model_signature_tim1(kernel, corr, l_max, d_const, mean_flow=mean_flow)
+        oracle = loop_signature_tim1(kernel, corr, l_max, d_const, mean_flow)
+        assert_matches_oracle(d, oracle, l_max, d_const)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tim2_matches_the_loops(self, data):
+        kernels = {pi: data.draw(drawn_kernel()) for pi in EVENT_TYPES}
+        l_max = data.draw(st.integers(1, 12))
+        n = max(k.n_lags for k in kernels.values())
+        max_lag = n + l_max - 1 + data.draw(st.integers(0, 3))
+        pairs = [(pi, pj) for pi in EVENT_TYPES for pj in EVENT_TYPES]
+        moments = PairMoments(
+            max_lag=max_lag,
+            values={pair: drawn_values(data.draw, max_lag + 1) for pair in pairs},
+            mu={pi: data.draw(MEAN_FLOW) for pi in EVENT_TYPES},
+        )
+        d_const = data.draw(VALUE)
+        d = model_signature_tim2(kernels, moments, l_max, d_const)
+        oracle = loop_signature_tim2(kernels, moments, l_max, d_const)
+        assert_matches_oracle(d, oracle, l_max, d_const)
+
+    @pytest.mark.parametrize("l_max", [3, 10, 15])
+    def test_unequal_buy_and_sell_kernels_on_a_series(self, l_max):
+        cfg = SynthConfig(
+            seed=16, n_events=20_000, kernel_buy=KernelSpec("exponential", 30.0, beta=0.5),
+            kernel_sell=KernelSpec("exponential", 20.0, beta=0.4), alpha=0.5,
+            volume_log_mean=0.0, volume_log_sd=1.0, volume_round=0.0, noise_sd_bp=5.0,
+        )
+        s, _ = generate_tim_series(cfg)
+        moments = estimate_pair_moments(s, l_max + 10)
+        kernels = solve_tim2(s, 10, 10)
+        d = model_signature_tim2(kernels, moments, l_max)
+        assert_matches_oracle(d, loop_signature_tim2(kernels, moments, l_max), l_max, 0.0)
+        merged, flow = moments.merged_series(), moments.mean_flow
+        d = model_signature_tim1(kernels[1], merged, l_max, mean_flow=flow)
+        oracle = loop_signature_tim1(kernels[1], merged, l_max, mean_flow=flow)
+        assert_matches_oracle(d, oracle, l_max, 0.0)
+
+    def test_lag_beyond_the_estimates_raises(self):
+        kernel = kernel_from_g(np.linspace(5.0, 1.0, 11))  # 10 lags
+        l_max = 6  # lags 0 .. 15 enter
+        model_signature_tim1(kernel, LagSeries(min_lag=0, values=np.ones(16)), l_max)
+        for corr in (LagSeries(min_lag=0, values=np.ones(15)), LagSeries(1, np.ones(16))):
+            with pytest.raises(DataError):
+                model_signature_tim1(kernel, corr, l_max)
+        kernels = {pi: kernel for pi in EVENT_TYPES}
+        pairs = [(pi, pj) for pi in EVENT_TYPES for pj in EVENT_TYPES]
+        mu = {pi: 0.1 for pi in EVENT_TYPES}
+
+        def moments(max_lag):
+            return PairMoments(max_lag, {p: np.ones(max_lag + 1) for p in pairs}, mu)
+
+        model_signature_tim2(kernels, moments(15), l_max)
+        with pytest.raises(DataError):
+            model_signature_tim2(kernels, moments(14), l_max)
 
 
 class TestAggregation:

@@ -3,7 +3,9 @@
 Nine bonds of 7,500 trades each (67,500 rows, as in the dealer-heavy
 benchmark workload): one trade in three is inter-dealer, and about half of
 the trades sit in equal-volume pairs that classify as RPT candidates. The
-generator runs on dealer-heavy's own generate settings.
+generator runs on dealer-heavy's own generate settings. The signature
+benchmark takes one synthetic bond of dealer-heavy's 5,000 events, with
+unequal buy and sell kernels, at the impact stage's default lags.
 """
 
 import random
@@ -12,9 +14,12 @@ import pytest
 
 from bondtca import artifacts
 from bondtca.classify import classify_bond, classify_trades
+from bondtca.impact import (
+    estimate_pair_moments, estimate_tim1, model_signature_tim1, model_signature_tim2, solve_tim2,
+)
 from bondtca.ingest import TradeTable, group_by_cusip, parse_trace_csv
 from bondtca.microstructure import estimate_spreads
-from bondtca.synthgen import SynthConfig, generate_trace_fixture
+from bondtca.synthgen import KernelSpec, SynthConfig, generate_tim_series, generate_trace_fixture
 
 from conftest import make_trade, ts
 
@@ -111,3 +116,27 @@ def test_generate_trace_fixture_benchmark(benchmark):
     )
     lifecycle = sum(manifest.lifecycle_counts.values())
     assert tape.count(b"\n") == 1 + 9 * 5_000 + len(manifest.planted_rpts) + lifecycle
+
+
+@pytest.mark.parametrize("model", ["tim1", "tim2"])
+def test_model_signature_benchmark(benchmark, model):
+    n_lags = l_max = 10
+    config = SynthConfig(
+        seed=5, n_events=5_000, kernel_buy=KernelSpec("exponential", 30.0, beta=0.5),
+        kernel_sell=KernelSpec("exponential", 20.0, beta=0.4),
+    )
+    series, _ = generate_tim_series(config)
+    moments = estimate_pair_moments(series, l_max + n_lags)
+    if model == "tim1":
+        kernel, corr = estimate_tim1(series, n_lags, n_lags), moments.merged_series()
+
+        def signature():
+            return model_signature_tim1(kernel, corr, l_max, mean_flow=moments.mean_flow)
+    else:
+        kernels = solve_tim2(series, n_lags, n_lags)
+
+        def signature():
+            return model_signature_tim2(kernels, moments, l_max)
+
+    d = benchmark.pedantic(signature, rounds=20, iterations=1)
+    assert d.shape == (l_max,) and all(d > 0)

@@ -262,8 +262,8 @@ class TestCrossValidation:
     def test_seed_changes_folds(self):
         rng = np.random.default_rng(17)
         data = random_dataset(rng, n=60, p=3)
-        a = k_fold_cv(data, "ridge", [0.1], k=5, seed=1).points[0].r2_values
-        b = k_fold_cv(data, "ridge", [0.1], k=5, seed=2).points[0].r2_values
+        a = k_fold_cv(data, "lasso", [0.1], k=5, seed=1).points[0].r2_values
+        b = k_fold_cv(data, "lasso", [0.1], k=5, seed=2).points[0].r2_values
         assert a != b
 
 
