@@ -13,6 +13,7 @@ not declared are ignored.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import datetime as dt
@@ -36,18 +37,17 @@ from .errors import BondTcaError, NumericalError, ParseError
 from .features import FEATURE_NAMES, BondReference, FeatureRow, MarketContext
 from .impact import ImpactKernel
 from .ingest import (
-    AGENT,
-    CORPORATE_BOND,
-    CUSTOMER,
-    CUSTOMER_BUY,
-    CUSTOMER_SELL,
+    CAPACITIES,
+    CONTRA_PARTIES,
+    CORRECTION,
     DEALER,
-    DEALER_DEALER,
     LEGS,
-    OTHER_PRODUCT,
-    PRINCIPAL,
     REPORT_KINDS,
+    SIDES,
+    SUB_PRODUCTS,
+    TRADE,
     RawTradeReport,
+    Tape,
     Trade,
     TradeTable,
 )
@@ -151,8 +151,14 @@ def _fixed_form(form: str, parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse_form
 
 
+def _text(text: str) -> str:
+    if "\0" in text:
+        raise ValueError(f"NUL in {text!r}")
+    return text
+
+
 def _text_or_none(text: str) -> str | None:
-    return text or None
+    return _text(text) or None
 
 
 def _none_as_empty(value: str | None) -> str:
@@ -161,7 +167,7 @@ def _none_as_empty(value: str | None) -> str:
 
 @functools.lru_cache(maxsize=1024)  # a tape repeats a few codes: one frozenset each
 def _conditions(text: str) -> frozenset[str]:
-    return frozenset(text.replace(";", " ").split())
+    return frozenset(_text(text).replace(";", " ").split())
 
 
 def _conditions_text(codes: frozenset[str]) -> str:
@@ -182,7 +188,7 @@ def _choice(values: tuple, format: Callable[[Any], str] = str) -> Codec:
 
 
 _int_text = "%d".__mod__  # str(int(value)), for bools and numpy integers too
-TEXT = Codec(str, str)
+TEXT = Codec(_text, str)  # any text without a NUL
 INT = Codec(int, _int_text)
 INT64 = Codec(_int64, _int_text)
 FLOAT = Codec(_finite, _float_text)  # NaN, infinities and overflow are rejected
@@ -198,7 +204,7 @@ WEEK = Codec(IsoWeek.parse, attrgetter("label"))
 CLOCK_TIME = Codec(_fixed_form(_TIME_FORM, dt.time.fromisoformat), dt.time.isoformat)
 OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty)  # "" is None
 CONDITIONS = Codec(_conditions, _conditions_text)  # codes separated by ';' or spaces
-LEG = _choice((CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER))
+LEG = _choice(LEGS)
 
 # the input trade tape; a choice column parses to its module constant
 TAPE = _csv(
@@ -211,11 +217,11 @@ TAPE = _csv(
     volume=FLOAT,
     report_kind=_choice(REPORT_KINDS),
     references_record=OPTIONAL_TEXT,
-    capacity=_choice((PRINCIPAL, AGENT)),
-    contra_party=_choice((CUSTOMER, DEALER)),
-    customer_side=_choice((CUSTOMER_BUY, CUSTOMER_SELL, None), _none_as_empty),
+    capacity=_choice(CAPACITIES),
+    contra_party=_choice(CONTRA_PARTIES),
+    customer_side=_choice(SIDES, _none_as_empty),
     sale_condition=CONDITIONS,
-    sub_product=_choice((CORPORATE_BOND, OTHER_PRODUCT)),
+    sub_product=_choice(SUB_PRODUCTS),
 )
 
 CLEAN = _csv(
@@ -284,7 +290,7 @@ def numbered_rows(path: str | Path, artifact: CsvArtifact) -> Iterator[tuple[int
     parsers = [c.parse for c in artifact.columns.values()]
     make = artifact.row_type
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a BOM is dropped
             reader = csv.reader(fh)
             header = next((row for row in reader if not (row and row[0].startswith("#"))), None)
             if header is None:
@@ -379,31 +385,49 @@ _TABLE_CHOICES = {
 }
 
 
-def _canonical_preamble(path, artifact: CsvArtifact) -> int | None:
-    """The number of lines up to the header, if the file has the canonical
-    shape that the column reader takes, else None.
+def _preamble_lines(fh, artifact: CsvArtifact) -> int | None:
+    """Read a binary file up to its header; the number of lines read, if
+    they have the canonical shape, else None.
 
-    The shape: '#' lines of UTF-8 text in which no field opens a quote, then
-    exactly the declared header, then rows without a NUL, a quote or a
-    carriage return.
+    The shape: a UTF-8 BOM or none, '#' lines of UTF-8 text in which no
+    field opens a quote, then exactly the declared header.
     """
     header = ",".join(artifact.header).encode() + b"\n"
+    lines = 0
+    while line := fh.readline():
+        if not lines:
+            line = line.removeprefix(codecs.BOM_UTF8)
+        lines += 1
+        if line == header:
+            return lines
+        if not line.startswith(b"#") or b',"' in line or b"\r" in line or b"\0" in line:
+            return None
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return None
+
+
+def _plain_rows(data: bytes) -> bool:
+    """Whether CSV rows hold no quote and no control byte but the line feed:
+    no NUL, no carriage return, and none of the bytes that numpy skips around
+    a number and Python's float does not (0x1c-0x1f)."""
+    controls = np.count_nonzero(np.frombuffer(data, np.uint8) < 0x20)
+    return b'"' not in data and controls == data.count(b"\n")
+
+
+def _canonical_preamble(path, artifact: CsvArtifact) -> int | None:
+    """The number of lines up to the header, if the file has the canonical
+    shape that the column reader takes, else None: the preamble of
+    ``_preamble_lines``, then plain rows (``_plain_rows``).
+    """
     with open(path, "rb") as fh:
-        lines = 0
-        while line := fh.readline():
-            lines += 1
-            if line == header:
-                break
-            if not line.startswith(b"#") or b',"' in line or b"\r" in line or b"\0" in line:
-                return None
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-        else:
+        lines = _preamble_lines(fh, artifact)
+        if lines is None:
             return None
         while chunk := fh.read(1 << 20):
-            if b"\0" in chunk or b'"' in chunk or b"\r" in chunk:
+            if not _plain_rows(chunk):
                 return None
     return lines
 
@@ -431,6 +455,17 @@ def _timestamps(text: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _codes(values: np.ndarray, code_of: Mapping[bytes, int]) -> np.ndarray | None:
+    """The code of each text of a choice column, or None if a text has none."""
+    codes = np.zeros(len(values), np.int8)
+    known = np.zeros(len(values), np.bool_)
+    for text, code in code_of.items():
+        hit = values == text
+        codes[hit] = code
+        known |= hit
+    return codes if known.all() else None
+
+
 def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
     """The trade file as a table, parsed column by column, or None if any of
     its text is not canonical, in which case the row path decides."""
@@ -452,15 +487,9 @@ def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
     for name in names:
         values = rows[name]
         if name in _TABLE_CHOICES:
-            codes = np.zeros(len(values), np.int8)
-            known = np.zeros(len(values), np.bool_)
-            for text, code in _TABLE_CHOICES[name].items():
-                hit = values == text
-                codes[hit] = code
-                known |= hit
-            if not known.all():
+            values = _codes(values, _TABLE_CHOICES[name])
+            if values is None:
                 return None
-            values = codes
         elif name in ("price", "volume") and not np.all(np.isfinite(values) & (values > 0)):
             return None
         columns[name] = values
@@ -482,6 +511,145 @@ def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
     except UnicodeDecodeError:
         return None
     return TradeTable.from_codes(cusips, codes, **columns)
+
+
+# -- the trade tape, column by column ----------------------------------------
+
+_TAPE_BYTES_PER_READ = 1 << 21  # whole lines; about 16k rows of a synthetic tape
+_TAPE_TEXT_WIDTH = 32  # bytes; a longer free text is read by the row path
+_TAPE_TEXTS = ("record_id", "cusip", "references_record", "sale_condition")
+# a choice column's texts and the code of each: its index in the column's choices
+_TAPE_CHOICES = {
+    name: {text.encode(): code for code, text in enumerate(TAPE.columns[name].parse.__self__)}
+    for name in ("report_kind", "capacity", "contra_party", "customer_side", "sub_product")
+}
+# the numpy field of each tape column; an S field is one byte wider than its
+# longest valid text, so that a longer text shows
+_TAPE_FIELDS = {
+    **dict.fromkeys(TAPE.columns, f"S{_TAPE_TEXT_WIDTH}"),
+    "exec_date": "S11",
+    "exec_time": "S9",
+    "price": "f8",
+    "volume": "f8",
+    **{name: f"S{max(map(len, texts)) + 1}" for name, texts in _TAPE_CHOICES.items()},
+}
+_TRADE_CODE, _CORRECTION_CODE = REPORT_KINDS.index(TRADE), REPORT_KINDS.index(CORRECTION)
+_DEALER_CODE, _NO_SIDE_CODE = CONTRA_PARTIES.index(DEALER), SIDES.index(None)
+
+
+def _short_texts(values: np.ndarray) -> np.ndarray | None:
+    """Texts of an S field, as narrow as the longest, or None if one may
+    have been cut."""
+    width = int(np.char.str_len(values).max(initial=0))
+    return None if width >= values.itemsize else values.astype(f"S{max(width, 1)}")
+
+
+def _recode(values: np.ndarray, code_of: dict[bytes, int]) -> np.ndarray:
+    """Each text's code in ``code_of``, where a new text takes the next code;
+    looked up once per run of equal texts."""
+    bounds = np.flatnonzero(values[1:] != values[:-1]) + 1
+    heads = values[np.r_[0, bounds]].tolist()
+    codes = [code_of.setdefault(text, len(code_of)) for text in heads]
+    return np.repeat(np.array(codes, np.int32), np.diff(np.r_[0, bounds, len(values)]))
+
+
+def _tape_chunk(lines: list[bytes], cusip_of: dict, condition_of: dict) -> dict | None:
+    """Whole lines of tape rows as Tape columns (none for blank lines), or
+    None if any of their text is not canonical: rows that are not plain
+    (``_plain_rows``) or not UTF-8, a row numpy cannot read, or a field that
+    the row path would read otherwise or reject."""
+    data = b"".join(lines)
+    if not _plain_rows(data):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns about lines that are all blank
+            rows = np.loadtxt(
+                lines, list(_TAPE_FIELDS.items()), delimiter=",", comments=None,
+                encoding="latin1", ndmin=1,
+            )
+    except ValueError:
+        return None
+    if not len(rows):
+        return {}
+    texts = {name: _short_texts(rows[name]) for name in _TAPE_TEXTS}
+    choices = {name: _codes(rows[name], code_of) for name, code_of in _TAPE_CHOICES.items()}
+    if any(values is None for values in (*texts.values(), *choices.values())):
+        return None
+    # copies: a field of the record array would keep all of it alive
+    kind, price, volume = choices["report_kind"], rows["price"].copy(), rows["volume"].copy()
+    valued = (kind == _TRADE_CODE) | (kind == _CORRECTION_CODE)  # a correction replaces a trade
+    if not (
+        np.isfinite(price).all()
+        and np.isfinite(volume).all()
+        and np.all(((price > 0) & (volume > 0)) | ~valued)
+        and np.array_equal(texts["references_record"] != b"", kind != _TRADE_CODE)
+        and np.array_equal(
+            choices["contra_party"] == _DEALER_CODE, choices["customer_side"] == _NO_SIDE_CODE
+        )
+    ):
+        return None
+    # 'YYYY-MM-DD HH:MM:SS' from the two fields, each of exactly its form
+    n = len(rows)
+    date = np.ascontiguousarray(rows["exec_date"]).view(np.uint8).reshape(n, 11)
+    chars = np.empty((n, 20), np.uint8)
+    chars[:, :11] = date
+    chars[:, 10] = ord(" ")
+    chars[:, 11:] = np.ascontiguousarray(rows["exec_time"]).view(np.uint8).reshape(n, 9)
+    stamps = _timestamps(chars.view("S20").ravel())
+    if stamps is None or date[:, 10].any():
+        return None
+    return {
+        "cusip": _recode(rows["cusip"], cusip_of),
+        "record_id": texts["record_id"],
+        "seconds": stamps.view(np.int64),
+        "price": price,
+        "volume": volume,
+        "kind": kind,
+        "capacity": choices["capacity"],
+        "leg": choices["customer_side"],  # a side's code is its leg's; no side is a dealer leg
+        "condition": _recode(rows["sale_condition"], condition_of),
+        "sub_product": choices["sub_product"],
+        "references": texts["references_record"][kind != _TRADE_CODE],
+    }
+
+
+def _read_tape(path) -> Tape | None:
+    """The tape as columns, read a chunk of lines at a time, or None if any
+    of its text is not canonical or a record id repeats, in which case the
+    row path decides."""
+    cusip_of: dict[bytes, int] = {}
+    condition_of: dict[bytes, int] = {}
+    chunks = []
+    with open(path, "rb") as fh:
+        if _preamble_lines(fh, TAPE) is None:
+            return None
+        while lines := fh.readlines(_TAPE_BYTES_PER_READ):
+            chunk = _tape_chunk(lines, cusip_of, condition_of)
+            if chunk is None:
+                return None
+            if chunk:
+                chunks.append(chunk)
+    if not chunks:
+        return Tape.from_reports([])
+    columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    del chunks
+    ids = np.sort(columns["record_id"], kind="stable")
+    if np.any(ids[1:] == ids[:-1]):
+        return None
+    del ids
+    names = sorted(cusip_of)  # UTF-8 bytes sort as their texts do
+    rank = np.empty(len(names), np.int32)
+    rank[[cusip_of[name] for name in names]] = np.arange(len(names))
+    columns["cusip"] = rank[columns["cusip"]]
+    cusips = tuple(name.decode("utf-8") for name in names)  # UTF-8 text cut at commas
+    conditions = tuple(_conditions(text.decode("utf-8")) for text in condition_of)
+    return Tape(cusips, conditions, **columns)
 
 
 def _csv_field(text: str) -> str:
@@ -528,6 +696,18 @@ def _read_trades(path, artifact: CsvArtifact) -> TradeTable:
     """The column reader's table, or else the row path's rows as a table."""
     table = _read_table(path, artifact)
     return TradeTable.from_rows(_read(path, artifact)) if table is None else table
+
+
+def load_tape(path) -> Tape:
+    """The column reader's tape, or else the row path's reports as columns."""
+    tape = _read_tape(path)
+    if tape is None:
+        reports = []
+        for line, report in numbered_rows(path, TAPE):
+            report.row = line
+            reports.append(report)
+        tape = Tape.from_reports(reports)
+    return tape
 
 
 def read_clean_trades(path) -> TradeTable:

@@ -5,8 +5,8 @@ stages are independently runnable and the whole chain is a pure function
 of (input files, configuration, seed). The argparse parser is the one
 declaration of every setting; config-file values are turned into flag
 tokens and parsed by it too, so precedence is flag > config file >
-built-in default. Errors exit with code 2 (config), 3 (data) or 4
-(numerical) and a JSON error object on stderr.
+built-in default. Errors exit with code 2 (config), 3 (data), 4
+(numerical) or 5 (out of memory) and a JSON error object on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, artifacts
 from .calendars import BusinessCalendar, IsoWeek
 from .classify import classify_trades
-from .errors import BondTcaError, ConfigError, DataError
+from .errors import BondTcaError, ConfigError, DataError, ResourceError
 from .features import DESIGN_FEATURES, build_feature_matrix, design_matrix
 from .impact import (
     SignSeries, average_kernels, empirical_signature, estimate_pair_moments, estimate_tim1,
@@ -204,10 +204,10 @@ def cmd_generate(args) -> None:
 
 
 def cmd_ingest(args) -> None:
-    reports = parse_trace_csv(_require(args.tape, "trade tape"))
-    n_reports = len(reports)
-    clean, report = ingest_reports(reports, _calendar(args))
-    del reports  # the parsed tape is the stage's largest object; drop it before writing
+    tape = parse_trace_csv(_require(args.tape, "trade tape"))
+    n_reports = len(tape)
+    clean, report = ingest_reports(tape, _calendar(args))
+    del tape  # the parsed tape is the stage's largest object; drop it before writing
     if args.cap_volumes:
         refs = artifacts.read_bond_references(_require(args.reference, "bond reference"))
         clean = cap_volumes(clean, {c: r.grade for c, r in refs.items()})
@@ -264,14 +264,19 @@ def _week_range(text: str) -> tuple[IsoWeek, IsoWeek]:
     return lo, hi
 
 
+MAX_GRID_POINTS = 1_000  # --lambda-grid's num: each point is k_folds fits per mixing value
+
+
 def _lambda_grid(text: str) -> tuple[float, ...]:
     try:
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi:num, got {text!r}") from None
-    if not (0 < lo <= hi < math.inf and num >= 1):
-        raise argparse.ArgumentTypeError(f"need finite 0 < lo <= hi and num >= 1, got {text!r}")
+    if not (0 < lo <= hi < math.inf and 1 <= num <= MAX_GRID_POINTS):
+        raise argparse.ArgumentTypeError(
+            f"need finite 0 < lo <= hi and 1 <= num <= {MAX_GRID_POINTS}, got {text!r}"
+        )
     return tuple(np.logspace(np.log10(lo), np.log10(hi), num))
 
 
@@ -603,6 +608,8 @@ def main(argv: list[str] | None = None) -> int:
         return _report_error(ConfigError(f"cannot access {exc.filename}: {exc.strerror}"))
     except BondTcaError as exc:
         return _report_error(exc)
+    except MemoryError as exc:  # last resort: a size no setting's bound caught
+        return _report_error(ResourceError(f"out of memory: {exc}"))
     return 0
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the pipeline.
 
-Exit codes mirror the CLI contract: 2 config, 3 data, 4 numerical.
+Exit codes mirror the CLI contract: 2 config, 3 data, 4 numerical, 5 out of
+memory.
 """
 
 from __future__ import annotations
@@ -41,3 +42,9 @@ class NumericalError(BondTcaError):
     """A solve or estimate failed (ill-conditioning, no root in bracket)."""
 
     exit_code = 4
+
+
+class ResourceError(BondTcaError):
+    """The run needs more memory than the machine gives it."""
+
+    exit_code = 5

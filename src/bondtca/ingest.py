@@ -1,16 +1,16 @@
 """Trade-tape ingestion: parsing, lifecycle reconciliation, filtering, caps.
 
 The tape is a CSV of raw trade reports (trades plus cancel / correction /
-reversal records). Reconciliation settles the lifecycle chains, then a
-seven-step filter reduces the settled trades to the clean analysis set.
+reversal records), parsed into columns (a Tape). Reconciliation settles the
+lifecycle chains, then a seven-step filter of boolean masks reduces the
+settled trades to the clean analysis set.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import logging
-from dataclasses import dataclass, replace
-from operator import attrgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,13 +31,17 @@ CUSTOMER_BUY = "customer_buy"
 CUSTOMER_SELL = "customer_sell"
 DEALER_DEALER = "dealer_dealer"
 LEGS = (CUSTOMER_BUY, CUSTOMER_SELL, DEALER_DEALER)  # a TradeTable's leg codes index this
+SIDES = (CUSTOMER_BUY, CUSTOMER_SELL, None)  # no customer side: a dealer trade, as in LEGS
 
 PRINCIPAL = "principal"
 AGENT = "agent"
+CAPACITIES = (PRINCIPAL, AGENT)
 CUSTOMER = "customer"
 DEALER = "dealer"
+CONTRA_PARTIES = (CUSTOMER, DEALER)
 CORPORATE_BOND = "corporate_bond"
 OTHER_PRODUCT = "other"
+SUB_PRODUCTS = (CORPORATE_BOND, OTHER_PRODUCT)
 
 # Sale-condition codes treated as irregular at filter step 5:
 # Z late report, U late after-hours, W weighted-average price, S special price.
@@ -245,6 +249,78 @@ class TradeTable:
         )
 
 
+@dataclass(eq=False)
+class Tape:
+    """A trade tape's reports as columns, in file order.
+
+    ``cusip`` indexes ``cusips``, which are sorted, and ``condition`` indexes
+    ``conditions``, one set of sale-condition codes each. ``kind``,
+    ``capacity``, ``leg`` and ``sub_product`` hold codes into REPORT_KINDS,
+    CAPACITIES, LEGS and SUB_PRODUCTS: the rules between fields make the leg
+    stand for both the contra party and the customer side. ``seconds`` counts
+    from 1970-01-01. ``record_id`` holds each report's id and ``references``
+    the id that each report other than a trade references, in file order,
+    both as UTF-8 bytes.
+    """
+
+    cusips: tuple[str, ...]
+    conditions: tuple[frozenset[str], ...]
+    cusip: np.ndarray
+    record_id: np.ndarray
+    seconds: np.ndarray
+    price: np.ndarray
+    volume: np.ndarray
+    kind: np.ndarray
+    capacity: np.ndarray
+    leg: np.ndarray
+    condition: np.ndarray
+    sub_product: np.ndarray
+    references: np.ndarray
+
+    @classmethod
+    def from_reports(cls, reports: Sequence[RawTradeReport]) -> "Tape":
+        """The columns of parsed reports. A record id that an earlier report
+        has raises ParseError naming the later report's row."""
+        seen: set[str] = set()
+        for rep in reports:
+            if rep.record_id in seen:
+                raise ParseError(
+                    f"repeated record_id {rep.record_id!r}", row=rep.row, column="record_id"
+                )
+            seen.add(rep.record_id)
+        cusips = sorted({rep.cusip for rep in reports})
+        conditions = list(dict.fromkeys(rep.sale_conditions for rep in reports))
+
+        def codes(name: str, values: Sequence, dtype=np.int8) -> np.ndarray:
+            code_of = {value: code for code, value in enumerate(values)}
+            return np.array([code_of[getattr(rep, name)] for rep in reports], dtype)
+
+        combine = dt.datetime.combine
+        return cls(
+            tuple(cusips),
+            tuple(conditions),
+            cusip=codes("cusip", cusips, np.int32),
+            record_id=np.array([rep.record_id.encode() for rep in reports], "S"),
+            seconds=np.array(
+                [_epoch_seconds(combine(rep.exec_date, rep.exec_time)) for rep in reports],
+                np.int64,
+            ),
+            price=np.array([rep.price for rep in reports], np.float64),
+            volume=np.array([rep.volume for rep in reports], np.float64),
+            kind=codes("kind", REPORT_KINDS),
+            capacity=codes("capacity", CAPACITIES),
+            leg=codes("leg", LEGS),
+            condition=codes("sale_conditions", conditions, np.int32),
+            sub_product=codes("sub_product", SUB_PRODUCTS),
+            references=np.array(
+                [rep.references.encode() for rep in reports if rep.kind != TRADE], "S"
+            ),
+        )
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+
 @dataclass(slots=True)
 class LifecycleStats:
     input_reports: int = 0
@@ -270,96 +346,112 @@ class FilterReport:
     lifecycle: LifecycleStats | None = None
 
 
-def parse_trace_csv(path: str | Path) -> list[RawTradeReport]:
-    """Parse a trade-tape CSV into raw reports, each with its line number.
+def parse_trace_csv(path: str | Path) -> Tape:
+    """Parse a trade-tape CSV into columns.
 
     The tape is read like every CSV artifact (see ``artifacts.TAPE``): lines
     before the header whose first field starts with '#' are metadata, the
     header names every tape column in any order, and other columns are
-    ignored.
+    ignored. A record id that an earlier row has raises ParseError, after
+    every row has passed its own checks.
     """
-    from .artifacts import TAPE, numbered_rows  # artifacts imports this module
+    from .artifacts import load_tape  # artifacts imports this module
 
-    reports = []
-    for line, report in numbered_rows(path, TAPE):
-        report.row = line
-        reports.append(report)
-    return reports
+    return load_tape(path)
 
 
-def reconcile_lifecycle(
-    reports: Sequence[RawTradeReport],
-) -> tuple[list[RawTradeReport], LifecycleStats]:
+_TRADE, _CANCEL, _CORRECTION = map(REPORT_KINDS.index, (TRADE, CANCEL, CORRECTION))
+
+
+def _rows_of(record_id: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The row of the record of each of ``ids``, or -1 where no record has it."""
+    order = np.argsort(record_id, kind="stable")
+    known = record_id[order]
+    at = np.minimum(np.searchsorted(known, ids), max(len(known) - 1, 0))
+    return np.where(known[at] == ids, order[at], -1)
+
+
+def settle_lifecycle(tape: Tape) -> tuple[np.ndarray, LifecycleStats]:
     """Settle lifecycle chains: apply corrections, drop cancels and reversals.
 
-    Records are processed in file order; the latest correction for a chain
-    wins, and a cancel kills the chain whichever version it references.
-    Dangling references are logged and skipped, leaving originals untouched.
-    A record id that an earlier record has raises ParseError.
+    The settled trades come as the rows that hold their values, in the file
+    order of the trades: a correction's row takes its trade's place. Only
+    the records that are not trades are walked, in file order; the latest
+    correction for a chain wins, and a cancel kills the chain whichever
+    version it references. A reference to an unknown or a later record
+    dangles, and a correction of a cancelled chain is skipped; each kind is
+    counted and logged once, with its count.
     """
-    stats = LifecycleStats(input_reports=len(reports))
-    family_of: dict[str, str | None] = {}
-    live: dict[str, RawTradeReport] = {}  # in file order: a correction keeps its trade's place
-    dead: set[str] = set()
-
-    for rep in reports:
-        if rep.record_id in family_of:
-            raise ParseError(
-                f"repeated record_id {rep.record_id!r}", row=rep.row, column="record_id"
-            )
-        if rep.kind == TRADE:
-            family_of[rep.record_id] = rep.record_id
-            live[rep.record_id] = rep
-            continue
-        family = family_of.get(rep.references or "")
-        family_of[rep.record_id] = None  # until it joins a chain, a reference to it dangles
+    kind = tape.kind
+    others = np.flatnonzero(kind != _TRADE)
+    targets = _rows_of(tape.record_id, tape.references)
+    stats = LifecycleStats(input_reports=len(tape))
+    family_of: dict[int, int] = {}  # row of a record in a chain -> row of its trade
+    latest: dict[int, int] = {}  # row of a corrected trade -> row of its latest correction
+    dead: set[int] = set()
+    unknown = cancelled = 0
+    for row, target, code in zip(others.tolist(), targets.tolist(), kind[others].tolist()):
+        family = None
+        if 0 <= target < row:  # a later record is not known yet
+            family = target if kind[target] == _TRADE else family_of.get(target)
         if family is None:
-            stats.dangling_references += 1
-            log.warning(
-                "%s record %s references unknown record %s; skipped",
-                rep.kind,
-                rep.record_id,
-                rep.references,
-            )
+            unknown += 1
             continue
-        if rep.kind == CORRECTION:
+        if code == _CORRECTION:
             if family in dead:
-                stats.dangling_references += 1
-                log.warning(
-                    "correction %s targets cancelled chain %s; skipped", rep.record_id, family
-                )
+                cancelled += 1
                 continue
-            live[family] = replace(rep, kind=TRADE, references=None)
-            family_of[rep.record_id] = family
+            latest[family] = row
             stats.corrections_applied += 1
         else:  # cancel or reversal: reversal semantics are cancel-equivalent
             dead.add(family)
-            family_of[rep.record_id] = family
-            if rep.kind == CANCEL:
+            if code == _CANCEL:
                 stats.cancels_applied += 1
             else:
                 stats.reversals_applied += 1
+        family_of[row] = family
+    if unknown:
+        log.warning("%d lifecycle records reference no earlier record; skipped", unknown)
+    if cancelled:
+        log.warning("%d corrections target a cancelled chain; skipped", cancelled)
 
-    settled = [rep for family, rep in live.items() if family not in dead]
-    stats.settled_trades = len(settled)
-    return settled, stats
+    trades = np.flatnonzero(kind == _TRADE)
+    rows = trades[~np.isin(trades, np.fromiter(dead, np.int64, len(dead)))]
+    fixed = [(trade, row) for trade, row in latest.items() if trade not in dead]
+    if fixed:
+        trade_rows, correction_rows = np.array(fixed).T
+        rows[np.searchsorted(rows, trade_rows)] = correction_rows
+    stats.settled_trades = len(rows)
+    stats.dangling_references = unknown + cancelled
+    return rows, stats
 
 
 def _pct(removed: int, input_count: int) -> float:
     return 100.0 * removed / input_count if input_count else 0.0
 
 
-def filter_pipeline(
-    trades: Sequence[RawTradeReport],
+def _seconds_of_day(time: dt.time) -> int:
+    return time.hour * 3600 + time.minute * 60 + time.second
+
+
+_DAY = 86_400
+_EPOCH_DAY = _EPOCH.date()
+
+
+def filter_trades(
+    tape: Tape,
+    rows: np.ndarray,
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
     lifecycle: LifecycleStats | None = None,
 ) -> tuple[TradeTable, FilterReport]:
-    """Apply filter steps 2..7 to settled trades and account for each step.
+    """Apply filter steps 2..7 to the settled trades, the ``rows`` of
+    ``tape``, and account for each step.
 
     When ``lifecycle`` stats are supplied, the reconciliation is reported as
     step 1 so that removals plus the final remaining count add back up to the
-    raw input count.
+    raw input count. The calendar is asked once per distinct day, and the
+    irregular codes once per distinct set of sale conditions.
     """
     steps: list[FilterStep] = []
     if lifecycle is not None:
@@ -374,54 +466,69 @@ def filter_pipeline(
             )
         )
 
-    current = list(trades)
-
-    def apply(step: int, label: str, keep) -> None:
-        nonlocal current
-        before = len(current)
-        current = [t for t in current if keep(t)]
+    seconds = tape.seconds[rows]
+    day = seconds // _DAY
+    days, day_code = np.unique(day, return_inverse=True)
+    business = np.array(
+        [calendar.is_business_day(_EPOCH_DAY + dt.timedelta(days=d)) for d in days.tolist()], bool
+    )
+    time = seconds - day * _DAY
+    regular = np.array([not (codes & irregular_codes) for codes in tape.conditions], bool)
+    masks = [
+        (
+            2,
+            "keep trades reported by dealers",
+            (tape.capacity[rows] != CAPACITIES.index(AGENT))
+            | (tape.leg[rows] != LEGS.index(DEALER_DEALER)),
+        ),
+        (3, "keep business days", business[day_code]),
+        (
+            4,
+            "keep session hours",
+            (time >= _seconds_of_day(SESSION_OPEN)) & (time <= _seconds_of_day(SESSION_CLOSE)),
+        ),
+        (5, "keep regular trades", regular[tape.condition[rows]]),
+        (6, "keep compatible prices", tape.price[rows] >= MIN_PRICE),
+        (7, "keep corporate bonds", tape.sub_product[rows] == SUB_PRODUCTS.index(CORPORATE_BOND)),
+    ]
+    keep = np.ones(len(rows), np.bool_)
+    for step, label, mask in masks:
+        before = int(np.count_nonzero(keep))
+        keep &= mask
+        remaining = int(np.count_nonzero(keep))
         steps.append(
             FilterStep(
                 step=step,
                 label=label,
-                removed=before - len(current),
-                removed_pct=_pct(before - len(current), before),
-                remaining=len(current),
+                removed=before - remaining,
+                removed_pct=_pct(before - remaining, before),
+                remaining=remaining,
             )
         )
 
-    apply(
-        2,
-        "keep trades reported by dealers",
-        lambda t: not (t.capacity == AGENT and t.contra_party == DEALER),
-    )
-    apply(3, "keep business days", lambda t: calendar.is_business_day(t.exec_date))
-    apply(4, "keep session hours", lambda t: SESSION_OPEN <= t.exec_time <= SESSION_CLOSE)
-    apply(5, "keep regular trades", lambda t: not (t.sale_conditions & irregular_codes))
-    apply(6, "keep compatible prices", lambda t: t.price >= MIN_PRICE)
-    apply(7, "keep corporate bonds", lambda t: t.sub_product == CORPORATE_BOND)
-
-    # Stable sort: chronological per bond, ties keep file order.
-    current.sort(key=attrgetter("cusip", "exec_date", "exec_time"))
-    combine = dt.datetime.combine
-    clean = TradeTable.from_columns(  # k: each bond's trades numbered from 0 in time order
-        [t.cusip for t in current],
-        timestamp=[combine(t.exec_date, t.exec_time) for t in current],
-        price=[t.price for t in current],
-        volume=[t.volume for t in current],
-        leg=[t.leg for t in current],
+    # A stable sort: chronological per bond, ties keep file order.
+    rows = rows[keep]
+    rows = rows[np.lexsort((tape.seconds[rows], tape.cusip[rows]))]
+    present, codes = np.unique(tape.cusip[rows], return_inverse=True)
+    clean = TradeTable.from_codes(  # k: each bond's trades numbered from 0 in time order
+        [tape.cusips[code] for code in present.tolist()],
+        codes,
+        timestamp=tape.seconds[rows].view("datetime64[s]"),
+        price=tape.price[rows],
+        volume=tape.volume[rows],
+        leg=tape.leg[rows],
     )
     return clean, FilterReport(steps=steps, lifecycle=lifecycle)
 
 
 def ingest_reports(
-    reports: Sequence[RawTradeReport],
+    tape: Tape,
     calendar: BusinessCalendar,
     irregular_codes: frozenset[str] = DEFAULT_IRREGULAR_CODES,
 ) -> tuple[TradeTable, FilterReport]:
-    """Reconcile then filter, with full step 1..7 accounting."""
-    settled, stats = reconcile_lifecycle(reports)
-    return filter_pipeline(settled, calendar, irregular_codes, lifecycle=stats)
+    """Settle then filter, with full step 1..7 accounting."""
+    rows, stats = settle_lifecycle(tape)
+    return filter_trades(tape, rows, calendar, irregular_codes, lifecycle=stats)
 
 
 def cap_volumes(trades: TradeTable, grade_of: Mapping[str, str]) -> TradeTable:

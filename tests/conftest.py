@@ -9,7 +9,10 @@ import pytest
 from bondtca.artifacts import TAPE
 from bondtca.calendars import BusinessCalendar
 from bondtca.classify import SIGN_OF_LEG
-from bondtca.ingest import RawTradeReport, Trade, parse_trace_csv
+from bondtca.ingest import (
+    CAPACITIES, CONTRA_PARTIES, LEGS, REPORT_KINDS, SIDES, SUB_PRODUCTS, TRADE, RawTradeReport,
+    Tape, Trade, parse_trace_csv,
+)
 
 MONDAY = dt.datetime(2015, 1, 5, 10, 0, 0)  # a business-day mid-morning
 
@@ -66,11 +69,32 @@ def tape_csv(rows: list[str], header: list[str] = TAPE.header) -> bytes:
     return ("\n".join([",".join(header)] + rows) + "\n").encode()
 
 
+def reports_of(tape: Tape) -> list[RawTradeReport]:
+    """The tape's reports as row records, without their line numbers."""
+    references = iter(tape.references.tolist())
+    reports = []
+    for record_id, cusip, seconds, price, volume, kind, capacity, leg, condition, product in zip(
+        *(getattr(tape, name).tolist() for name in (
+            "record_id", "cusip", "seconds", "price", "volume", "kind", "capacity", "leg",
+            "condition", "sub_product",
+        ))
+    ):
+        kind = REPORT_KINDS[kind]
+        stamp = dt.datetime(1970, 1, 1) + dt.timedelta(seconds=seconds)
+        reports.append(RawTradeReport(
+            record_id.decode(), tape.cusips[cusip], stamp.date(), stamp.time(), price, volume,
+            kind, None if kind == TRADE else next(references).decode(), CAPACITIES[capacity],
+            CONTRA_PARTIES[leg == LEGS.index("dealer_dealer")], SIDES[leg],
+            tape.conditions[condition], SUB_PRODUCTS[product],
+        ))
+    return reports
+
+
 @pytest.fixture
 def parse_tape(tmp_path):
     """parse_trace_csv on tape bytes, written to a file first."""
 
-    def parse(tape: bytes) -> list[RawTradeReport]:
+    def parse(tape: bytes) -> Tape:
         path = tmp_path / "tape.csv"
         path.write_bytes(tape)
         return parse_trace_csv(path)

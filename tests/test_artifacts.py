@@ -160,8 +160,9 @@ def test_degenerate_welch_t_is_written_as_null(tmp_path):
 # -- the trade files' column reader and writer, against the row path ----------
 
 # field texts at the edge of what one reader or the other takes: numpy reads
-# year 0 but Python does not, Python reads 1_000 and Arabic-Indic digits but
-# numpy does not, and a numpy S field cuts a long text silently
+# year 0 and a number between 0x1c-0x1f bytes but Python does not, Python
+# reads 1_000 and Arabic-Indic digits but numpy does not, and a numpy S field
+# cuts a long text silently
 EDGE_TEXTS = {
     "cusip": [
         "A,B", '"A,B"', 'A"B', '"A""B"', "#HASH", "é", "X" * 31, "X" * 32, "X" * 64, " A", "",
@@ -178,7 +179,7 @@ EDGE_TEXTS = {
     ],
     "price": [
         "1e400", "infinity", "nan", "1_000.5", "٣", " 101.5", "101.5 ", "1e-400", "0x1p3", "-1.0",
-        "0.0", "+.5", "5.", "",
+        "0.0", "+.5", "5.", "", "101.5\x1c", "\x1f101.5", "\x0b101.5", "101.5\t",
     ],
     "leg": ["customer_sellX", "customer_sel", "Customer_buy", " dealer_dealer", "dealer_dealer "],
     "epsilon": ["-0", "+1", "01", " 1", "2", "-10"],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bondtca import artifacts
+from bondtca import artifacts, cli
 from bondtca.cli import main
 from conftest import tape_csv, trade_row
 
@@ -213,6 +213,8 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv", "--train-range", "2015-W99:2016-W01"], None),
     (["generate", "--events", 300, "--kernel-beta", -1], None),
     (["fit", "--features", "features.csv"], {"fit": {"model": "ridge"}}),
+    (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:1001"], None),
+    (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:100000000000"], None),
 ]
 
 
@@ -458,6 +460,19 @@ def test_unwritable_output_exit_2(workdir, capsys, flag, path):
     assert path in error["message"]
     # the paths are checked before anything is written: no tape.csv is left behind
     assert list(workdir.iterdir()) == []
+
+
+def test_out_of_memory_exit_5(workdir, capsys, monkeypatch):
+    def exhaust(args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_fit", exhaust)
+    assert run(["fit", "--features", "features.csv"]) == 5
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "ResourceError"
+    assert error["message"] == "out of memory: Unable to allocate 745. GiB for an array"
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,28 +1,50 @@
+import codecs
+import collections
 import dataclasses
 import datetime as dt
+import logging
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bondtca import ingest
+from bondtca import artifacts, ingest
 from bondtca.artifacts import TAPE
 from bondtca.calendars import BusinessCalendar
+from bondtca.cli import main
 from bondtca.errors import DataError, ParseError
 from bondtca.ingest import (
+    Tape,
     TradeTable,
     cap_volumes,
-    filter_pipeline,
+    filter_trades,
     ingest_reports,
-    reconcile_lifecycle,
+    settle_lifecycle,
 )
 from bondtca.synthgen import SynthConfig, generate_trace_fixture
 
-from conftest import make_report, make_trade, tape_csv, trade_row
+import row_ingest
+from conftest import make_report, make_trade, reports_of, tape_csv, trade_row
+
+
+def reconcile_lifecycle(reports):
+    """settle_lifecycle on the reports' columns, in the row oracle's terms:
+    the settled reports, each correction as a trade in its trade's place."""
+    rows, stats = settle_lifecycle(Tape.from_reports(reports))
+    settled = [dataclasses.replace(reports[row], kind="trade", references=None) for row in rows]
+    return settled, stats
+
+
+def filter_pipeline(trades, calendar):
+    """filter_trades on the columns of settled trades, without step 1."""
+    tape = Tape.from_reports(trades)
+    return filter_trades(tape, np.arange(len(tape)), calendar)
 
 
 class TestParse:
     def test_single_trade_row(self, parse_tape):
-        reports = parse_tape(tape_csv([trade_row("A")]))
+        reports = reports_of(parse_tape(tape_csv([trade_row("A")])))
         assert len(reports) == 1
         r = reports[0]
         assert r.kind == "trade"
@@ -70,7 +92,7 @@ class TestParse:
             trade_row("C1", kind="cancel", references="T1"),
             trade_row("C2", kind="cancel", references="T5"),
         ]
-        reports = parse_tape(tape_csv(rows))
+        reports = reports_of(parse_tape(tape_csv(rows)))
         assert len(reports) == 10
         assert sum(1 for r in reports if r.kind == "cancel") == 2
 
@@ -80,23 +102,24 @@ class TestParse:
         assert exc.value.column == "references_record"
 
     def test_dealer_trade_has_no_side(self, parse_tape):
-        reports = parse_tape(tape_csv([trade_row("A", contra="dealer")]))
+        reports = reports_of(parse_tape(tape_csv([trade_row("A", contra="dealer")])))
         assert reports[0].leg == "dealer_dealer"
         assert reports[0].customer_side is None
 
     def test_comment_lines_skipped(self, parse_tape):
         # only the lines before the header are metadata: a record id may begin with '#'
         data = b"# meta line\n" + tape_csv([trade_row("A"), trade_row("#B")])
-        assert [r.record_id for r in parse_tape(data)] == ["A", "#B"]
+        assert [r.record_id for r in reports_of(parse_tape(data))] == ["A", "#B"]
 
     def test_header_columns_in_any_order_and_extra_columns_ignored(self, parse_tape):
         rows = [trade_row("A"), trade_row("B", kind="cancel", references="A", contra="dealer")]
-        expected = parse_tape(tape_csv(rows))
+        expected = reports_of(parse_tape(tape_csv(rows)))
         order = [5, 0, 12, 3, 1, 7, 2, 10, 4, 9, 6, 11, 8]  # a shuffle of the 13 columns
         shuffled = [",".join(row.split(",")[i] for i in order) for row in rows]
-        assert parse_tape(tape_csv(shuffled, [TAPE.header[i] for i in order])) == expected
+        shuffled = parse_tape(tape_csv(shuffled, [TAPE.header[i] for i in order]))
+        assert reports_of(shuffled) == expected
         extra = [row + ",ignored" for row in rows]
-        assert parse_tape(tape_csv(extra, TAPE.header + ["venue"])) == expected
+        assert reports_of(parse_tape(tape_csv(extra, TAPE.header + ["venue"]))) == expected
 
     def test_missing_column_names_it(self, parse_tape):
         header = [name for name in TAPE.header if name != "sub_product"]
@@ -109,7 +132,7 @@ class TestParse:
     def test_choice_fields_are_the_module_constants(self, parse_tape):
         rows = [trade_row("A"), trade_row("B", kind="correction", references="A", contra="dealer")]
         kinds, contras = (ingest.TRADE, ingest.CORRECTION), (ingest.CUSTOMER, ingest.DEALER)
-        for report, kind, contra in zip(parse_tape(tape_csv(rows)), kinds, contras):
+        for report, kind, contra in zip(reports_of(parse_tape(tape_csv(rows))), kinds, contras):
             assert report.kind is kind
             assert report.capacity is ingest.PRINCIPAL
             assert report.contra_party is contra
@@ -152,9 +175,8 @@ class TestReconcile:
     )
     def test_repeated_record_id_names_row_and_column(self, second, parse_tape):
         first = [trade_row("A"), trade_row("C", kind="cancel", references="GHOST")]
-        reports = parse_tape(tape_csv(first + [second]))
         with pytest.raises(ParseError, match="repeated record_id") as exc:
-            reconcile_lifecycle(reports)
+            parse_tape(tape_csv(first + [second]))
         assert exc.value.row == 4
         assert exc.value.column == "record_id"
 
@@ -307,7 +329,7 @@ class TestFilter:
             make_report(record_id="C", timestamp=dt.datetime(2015, 1, 10, 10, 0)),
             make_report(record_id="X", kind="cancel", references="A"),
         ]
-        clean, report = ingest_reports(reports, calendar)
+        clean, report = ingest_reports(Tape.from_reports(reports), calendar)
         total_removed = sum(s.removed for s in report.steps)
         assert total_removed + len(clean) == len(reports)
         # remaining chains: each step's remaining equals previous minus removed
@@ -344,7 +366,7 @@ class TestPlantedFixture:
     def test_zero_noise_reconcile_is_noop(self, calendar, parse_tape):
         cfg = SynthConfig(seed=6, n_events=50)
         tape, _ = generate_trace_fixture(cfg, calendar)
-        reports = parse_tape(tape)
+        reports = reports_of(parse_tape(tape))
         settled, stats = reconcile_lifecycle(reports)
         assert len(settled) == len(reports)
         assert stats.cancels_applied == stats.corrections_applied == 0
@@ -381,3 +403,150 @@ class TestCapVolumes:
         for old, new in zip(before, trades):
             assert new.volume <= old.volume
             assert dataclasses.replace(new, volume=old.volume) == old
+
+
+class TestColumnPath:
+    """The column reader and the column lifecycle and filter, against the row
+    path they replace."""
+
+    def test_bom_before_the_header_is_dropped(self, tmp_path, parse_tape):
+        rows = [trade_row("A"), trade_row("B", kind="cancel", references="A")]
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"# meta\n" + tape_csv(rows))
+        assert artifacts._read_tape(path) is not None  # the column reader takes it
+        assert reports_of(parse_tape(path.read_bytes())) == reports_of(parse_tape(tape_csv(rows)))
+        shuffled = TAPE.header[::-1]
+        rows = [",".join(row.split(",")[::-1]) for row in rows]
+        assert reports_of(parse_tape(codecs.BOM_UTF8 + tape_csv(rows, shuffled)))  # the row reader
+
+    @pytest.mark.parametrize("cusip", ["AB\0C", "\0", "A\0"])
+    def test_nul_in_a_cusip_names_it(self, parse_tape, cusip):
+        with pytest.raises(ParseError) as exc:
+            parse_tape(tape_csv([trade_row("A"), trade_row("B", cusip=cusip)]))
+        assert exc.value.exit_code == 3
+        assert (exc.value.row, exc.value.column) == (3, "cusip")
+
+    def test_repeated_record_id_comes_after_the_row_checks(self, parse_tape):
+        rows = [trade_row("A"), trade_row("A", time="10:01:00"), trade_row("B", price="abc")]
+        with pytest.raises(ParseError) as exc:
+            parse_tape(tape_csv(rows))
+        assert (exc.value.row, exc.value.column) == (4, "price")
+
+    def test_one_warning_per_kind(self, caplog):
+        reports = [
+            make_report(record_id="A"),
+            make_report(record_id="C", kind="cancel", references="A"),
+            make_report(record_id="X", kind="correction", references="A"),
+            make_report(record_id="Y", kind="correction", references="C"),
+            make_report(record_id="G1", kind="cancel", references="GHOST"),
+            make_report(record_id="G2", kind="reversal", references="LATER"),
+            make_report(record_id="G3", kind="correction", references="G1"),
+            make_report(record_id="LATER"),
+        ]
+        with caplog.at_level(logging.WARNING, logger="bondtca.ingest"):
+            rows, stats = settle_lifecycle(Tape.from_reports(reports))
+        assert [r.getMessage() for r in caplog.records] == [
+            "3 lifecycle records reference no earlier record; skipped",
+            "2 corrections target a cancelled chain; skipped",
+        ]
+        assert stats.dangling_references == 5
+        assert rows.tolist() == [7]
+
+    def test_correction_keeps_its_trades_place(self, calendar):
+        reports = [
+            make_report(record_id="A", timestamp=dt.datetime(2015, 1, 5, 10, 0)),
+            make_report(record_id="B", timestamp=dt.datetime(2015, 1, 5, 10, 0), price=50.0),
+            make_report(
+                record_id="X", kind="correction", references="A", price=70.0,
+                timestamp=dt.datetime(2015, 1, 5, 10, 0),
+            ),
+        ]
+        clean, _ = ingest_reports(Tape.from_reports(reports), calendar)
+        assert [t.price for t in clean] == [70.0, 50.0]  # a tie keeps the trades' file order
+
+
+DAYS = ["2015-01-05", "2015-01-06", "2015-01-09", "2015-01-10", "2015-01-11"]  # Fri, Sat, Sun
+TIMES = ["07:59:59", "08:00:00", "10:00:00", "10:00:00", "12:30:00", "17:15:00", "17:15:01"]
+HOLIDAYS = BusinessCalendar(frozenset({dt.date(2015, 1, 6)}))
+
+
+@st.composite
+def lifecycle_tapes(draw):
+    """Tape rows of up to 3 bonds: trades at tied times, on weekends, out of
+    session and with irregular codes, and cancels, corrections and reversals
+    of earlier, later, unknown and lifecycle records."""
+    n = draw(st.integers(1, 24))
+    rows = []
+    for i in range(n):
+        kind = draw(st.sampled_from(["trade"] * 3 + ["cancel", "correction", "reversal"]))
+        target = draw(st.integers(0, n))  # n: no record has the id
+        references = "" if kind == "trade" else f"R{target}" if target < n else "GHOST"
+        rows.append(trade_row(
+            f"R{i}", kind=kind, references=references,
+            cusip=draw(st.sampled_from(["A", "B", "C#"])),
+            date=draw(st.sampled_from(DAYS)), time=draw(st.sampled_from(TIMES)),
+            price=draw(st.sampled_from([5.0, 9.99, 10.0, 100.0, 101.25])),
+            volume=draw(st.sampled_from([1.0, 5e4, 2.5e6])),
+            capacity=draw(st.sampled_from(["principal", "agent"])),
+            contra=draw(st.sampled_from(["customer", "dealer"])),
+            side=draw(st.sampled_from(["customer_buy", "customer_sell"])),
+            condition=draw(st.sampled_from(["", "T", "W", "Z;T", "T S", "U"])),
+            sub_product=draw(st.sampled_from(["corporate_bond", "corporate_bond", "other"])),
+        ))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=lifecycle_tapes())
+def test_column_ingest_matches_the_row_path(tmp_path, rows):
+    path = tmp_path / "tape.csv"
+    path.write_bytes(tape_csv(rows))
+    tape = artifacts._read_tape(path)
+    assert tape is not None  # the column reader took it
+    reports = row_ingest.parse_rows(path)
+    assert reports_of(tape) == [dataclasses.replace(r, row=0) for r in reports]
+    want = row_ingest.ingest_rows(reports, HOLIDAYS)
+    assert ingest_reports(tape, HOLIDAYS) == want
+    assert ingest_reports(Tape.from_reports(reports), HOLIDAYS) == want  # the fallback's columns
+
+
+def ingest_files(tmp_path, name, tape):
+    """clean.csv and filter_report.json of the ingest stage on tape bytes."""
+    (tmp_path / name).write_bytes(tape)
+    outputs = [tmp_path / f"{name}.clean.csv", tmp_path / f"{name}.filter.json"]
+    argv = ["ingest", "--tape", str(tmp_path / name), "--out-clean", str(outputs[0])]
+    assert main([*argv, "--out-filter-report", str(outputs[1])]) == 0
+    return [path.read_bytes() for path in outputs]
+
+
+def test_interleaving_bonds_changes_no_byte(tmp_path, capsys):
+    # wide-tape's generate settings: 180 bonds of 500 events
+    config = SynthConfig(
+        seed=6, n_events=500, n_bonds=180, rpt_fraction=0.02, cancel_rate=0.005,
+        correction_rate=0.002,
+    )
+    tape, _ = generate_trace_fixture(config)
+    header, *lines = tape.splitlines(keepends=True)
+    bonds = collections.defaultdict(collections.deque)
+    for line in lines:
+        bonds[line.split(b",")[1]].append(line)
+    order = [cusip for cusip, bond in bonds.items() for _ in bond]
+    random.Random(6).shuffle(order)
+    interleaved = header + b"".join(bonds[cusip].popleft() for cusip in order)
+    assert interleaved != tape
+    assert ingest_files(tmp_path, "interleaved.csv", interleaved) == ingest_files(
+        tmp_path, "tape.csv", tape
+    )
+
+
+def test_crlf_tape_takes_the_row_path_to_the_same_result(tmp_path, capsys):
+    config = SynthConfig(
+        seed=5, n_events=300, n_bonds=3, rpt_fraction=0.2, cancel_rate=0.05,
+        correction_rate=0.05, reversal_rate=0.02,
+        filter_violations={"2": 1, "3": 1, "4": 1, "5": 1, "6": 1, "7": 1},
+    )
+    tape, _ = generate_trace_fixture(config)
+    crlf = tape.replace(b"\n", b"\r\n")
+    (tmp_path / "crlf.csv").write_bytes(crlf)
+    assert artifacts._read_tape(tmp_path / "crlf.csv") is None
+    assert ingest_files(tmp_path, "crlf.csv", crlf) == ingest_files(tmp_path, "lf.csv", tape)

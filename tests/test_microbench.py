@@ -17,7 +17,8 @@ from bondtca.classify import classify_bond, classify_trades
 from bondtca.impact import (
     estimate_pair_moments, estimate_tim1, model_signature_tim1, model_signature_tim2, solve_tim2,
 )
-from bondtca.ingest import TradeTable, group_by_cusip, parse_trace_csv
+from bondtca.calendars import BusinessCalendar
+from bondtca.ingest import TradeTable, group_by_cusip, ingest_reports, parse_trace_csv
 from bondtca.microstructure import estimate_spreads
 from bondtca.synthgen import KernelSpec, SynthConfig, generate_tim_series, generate_trace_fixture
 
@@ -73,17 +74,31 @@ def test_read_signed_trades_benchmark(benchmark, tape, tmp_path):
     assert rows == signed
 
 
-def test_parse_trace_csv_benchmark(benchmark, tmp_path):
+@pytest.fixture(scope="module")
+def tape_path(tmp_path_factory):
     # half of dealer-heavy's tape: 9 bonds of 2,500 events, with their RPT
     # partners and lifecycle records
     config = SynthConfig(
         seed=5, n_events=2_500, n_bonds=9, rpt_fraction=0.5, cancel_rate=0.005,
         correction_rate=0.002,
     )
-    path = tmp_path / "tape.csv"
+    path = tmp_path_factory.mktemp("tape") / "tape.csv"
     path.write_bytes(generate_trace_fixture(config)[0])
-    reports = benchmark.pedantic(parse_trace_csv, args=(path,), rounds=3, iterations=1)
-    assert len(reports) == len(path.read_bytes().splitlines()) - 1
+    return path
+
+
+def test_parse_trace_csv_benchmark(benchmark, tape_path):
+    reports = benchmark.pedantic(parse_trace_csv, args=(tape_path,), rounds=3, iterations=1)
+    assert len(reports) == len(tape_path.read_bytes().splitlines()) - 1
+
+
+def test_ingest_reports_benchmark(benchmark, tape_path):
+    tape = parse_trace_csv(tape_path)
+    clean, report = benchmark.pedantic(
+        ingest_reports, args=(tape, BusinessCalendar()), rounds=5, iterations=1
+    )
+    assert sum(step.removed for step in report.steps) + len(clean) == len(tape)
+    assert 0.9 * len(tape) < len(clean) < len(tape)
 
 
 def test_write_signed_trades_benchmark(benchmark, tape, tmp_path):

@@ -20,6 +20,8 @@ from bondtca.synthgen import (
     reference_rows,
 )
 
+from conftest import reports_of
+
 
 class TestKernelSpec:
     def test_exponential_values(self):
@@ -142,7 +144,7 @@ class TestTraceFixture:
     def test_prices_straddle_mid_exactly(self, parse_tape):
         cfg = SynthConfig(seed=7, n_events=300, half_spread_bp=30.0)
         tape, _ = generate_trace_fixture(cfg)
-        reports = parse_tape(tape)
+        reports = reports_of(parse_tape(tape))
         s, _ = generate_tim_series(cfg)
         half_price = cfg.base_price * cfg.half_spread_bp / 1e4
         for k, r in enumerate(reports[: s.t]):
@@ -157,14 +159,14 @@ class TestTraceFixture:
         cal = BusinessCalendar()
         cfg = SynthConfig(seed=8, n_events=2000, rpt_fraction=0.1)
         tape, _ = generate_trace_fixture(cfg, cal)
-        for r in parse_tape(tape):
+        for r in reports_of(parse_tape(tape)):
             assert cal.is_business_day(r.exec_date)
             assert dt.time(8, 0) <= r.exec_time <= dt.time(17, 15)
 
     def test_manifest_counts(self, parse_tape):
         cfg = SynthConfig(seed=9, n_events=1000, cancel_rate=0.1)
         tape, manifest = generate_trace_fixture(cfg)
-        reports = parse_tape(tape)
+        reports = reports_of(parse_tape(tape))
         cancels = sum(1 for r in reports if r.kind == "cancel")
         assert cancels == manifest.lifecycle_counts.get("cancels", 0)
         assert cancels == pytest.approx(100, abs=35)
@@ -225,7 +227,7 @@ def test_pinned_configs_cover_every_part_of_the_tape(parse_tape):
         "2", "3", "4", "5", "6", "7"
     }
     tape, _ = generate_trace_fixture(*PINNED["holidays_skip_weekdays"][:2])
-    days = {r.exec_date for r in parse_tape(tape) if r.exec_date.weekday() < 5}
+    days = {r.exec_date for r in reports_of(parse_tape(tape)) if r.exec_date.weekday() < 5}
     assert dt.date(2015, 1, 6) in days and days.isdisjoint({dt.date(2015, 1, 5), dt.date(2015, 1, 7)})
 
 
