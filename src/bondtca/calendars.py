@@ -64,7 +64,7 @@ class BusinessCalendar:
     def from_file(cls, path: str | Path) -> "BusinessCalendar":
         """Load holidays from a text file: one YYYY-MM-DD per line, '#' comments."""
         try:
-            content = Path(path).read_text(encoding="utf-8")
+            content = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"calendar file {path} is not UTF-8 text: {exc.reason}") from exc
         days = set()

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -32,7 +33,8 @@ from .impact import (
 )
 from .ingest import cap_volumes, group_by_cusip, ingest_reports, parse_trace_csv
 from .microstructure import (
-    MID_CONVENTIONS, aggregate_weekly, estimate_spreads, one_sided_spreads_by_day, used_trades,
+    MID_CONVENTIONS, aggregate_weekly, estimate_spreads, log_degenerate_mids,
+    one_sided_spreads_by_day, used_trades,
 )
 from .regress import (
     DEFAULT_EN_ALPHAS, DEFAULT_LASSO_GRID, MODEL_FAMILIES, Dataset, GridPoint, fit_ols,
@@ -71,6 +73,8 @@ _POSITIVE_FLOAT = _number("positive", float, lambda v: v > 0)
 _POSITIVE_INT = _number("positive", int, lambda v: v > 0)
 _FOLD_COUNT = _number("at-least-2", int, lambda v: v >= 2)
 _SEED = _number("non-negative", int, lambda v: v >= 0)
+MAX_L_MAX = 1_000  # impact --l-max: the signature costs l_max^3 in time, l_max^2 in memory
+_L_MAX = _number(f"1-{MAX_L_MAX}", int, lambda v: 0 < v <= MAX_L_MAX)
 
 
 def _mixing_list(text: str) -> list[float]:
@@ -229,10 +233,12 @@ def cmd_spread(args) -> None:
     grouped = group_by_cusip(signed)
     obs = []
     used = 0
+    dropped = Counter()
     for cusip in sorted(grouped):
-        bond_obs = estimate_spreads(grouped[cusip], args.delta_t, args.mid_convention)
+        bond_obs = estimate_spreads(grouped[cusip], args.delta_t, args.mid_convention, dropped)
         used += used_trades(bond_obs)
         obs.extend(bond_obs)
+    log_degenerate_mids(dropped)
     weekly = aggregate_weekly(obs)
     artifacts.write_spread_observations(args.out_observations, obs, _meta(args))
     artifacts.write_weekly_spreads(args.out_weekly, weekly, _meta(args))
@@ -576,7 +582,7 @@ def build_parser() -> BondTcaParser:
     m.add_argument("--alpha", type=_NON_NEGATIVE, default=0.0)
     m.add_argument("--n-lags", type=_POSITIVE_INT, default=10)
     m.add_argument("--l-lags", type=_POSITIVE_INT, default=10)
-    m.add_argument("--l-max", type=_POSITIVE_INT, default=10)
+    m.add_argument("--l-max", type=_L_MAX, default=10)
     m.add_argument("--top-k", type=_POSITIVE_INT, help="only the k most traded bonds")
     m.add_argument("--min-events", type=int, default=1000)
     m.add_argument("--threads", type=int, default=1)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import datetime as dt
 import logging
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -61,11 +62,13 @@ def estimate_spreads(
     trades: TradeTable,
     delta_t: float = DEFAULT_DELTA_T,
     mid_convention: str = "paper",
+    dropped: Counter[str] | None = None,
 ) -> list[SpreadObservation]:
     """Vanilla spread, mid and bp spread from opposite-sign adjacent pairs.
 
     ``trades`` must be one bond in chronological order. Pairs with a
-    non-positive reconstructed mid are dropped and logged.
+    non-positive reconstructed mid are dropped and counted in ``dropped``
+    by cusip; without it, one warning for the call says how many.
     """
     if mid_convention not in MID_CONVENTIONS:
         raise ConfigError(f"mid_convention must be one of {MID_CONVENTIONS}")
@@ -78,6 +81,7 @@ def estimate_spreads(
         & (np.abs(np.diff(trades.timestamp.view(np.int64))) < delta_t)
     )
     out: list[SpreadObservation] = []
+    counts = Counter() if dropped is None else dropped
     for price_a, price_b, eps_b, k, stamp in zip(
         trades.price[later - 1].tolist(),
         trades.price[later].tolist(),
@@ -89,7 +93,7 @@ def estimate_spreads(
         mid = price_a + sign * eps_b * psi / 2.0
         cusip = trades.cusips[0]  # one bond
         if mid <= 0:
-            log.warning("degenerate mid %.6g for %s at k=%d; observation dropped", mid, cusip, k)
+            counts[cusip] += 1
             continue
         out.append(
             SpreadObservation(
@@ -101,7 +105,16 @@ def estimate_spreads(
                 s_bp=psi / mid * 1e4,
             )
         )
+    if dropped is None:
+        log_degenerate_mids(counts)
     return out
+
+
+def log_degenerate_mids(dropped: Mapping[str, int]) -> None:
+    """One warning for every pair ``estimate_spreads`` dropped, if any."""
+    if dropped:
+        total = sum(dropped.values())
+        log.warning("%d degenerate mids in %d bonds; observations dropped", total, len(dropped))
 
 
 def used_trades(observations: Iterable[SpreadObservation]) -> int:

@@ -28,8 +28,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .stats import ndtr
 
 DEGENERATE_COEF_THRESHOLD = 1e-10
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)  # LAPACK's tol3z
 MODEL_FAMILIES = ("ols", "lasso", "lslasso", "en")
 
 
@@ -129,16 +131,51 @@ def _r_squared(y: np.ndarray, resid: np.ndarray) -> float:
     return 1.0 - float(resid @ resid) / sst
 
 
-def fit_ols(data: Dataset) -> FitResult:
-    """Least squares via orthogonal decomposition, normal-theory errors."""
-    from scipy import linalg as sla
-    from scipy.special import ndtr
+def _pivoted_qr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR with column pivoting (Businger-Golub, as LAPACK's dgeqp3).
 
+    Returns ``(a, tau, piv)``: R in the upper triangle of ``a``, the
+    reflectors I - tau v v^T below it (v[0] = 1 implied), and the column
+    order. Each step takes the column of largest remaining norm, the first
+    on a tie; the norms are downdated, and recomputed when downdating has
+    lost half the digits.
+    """
+    a = np.array(x, dtype=float)
+    n, w = a.shape
+    piv = np.arange(w)
+    norms = np.linalg.norm(a, axis=0)
+    exact = norms.copy()  # each norm when last computed in full
+    tau = np.zeros(min(n, w))
+    for i in range(tau.size):
+        p = i + int(np.argmax(norms[i:]))
+        if p != i:
+            a[:, [i, p]] = a[:, [p, i]]
+            piv[[i, p]] = piv[[p, i]]
+            norms[p], exact[p] = norms[i], exact[i]
+        alpha, rest = a[i, i], float(np.linalg.norm(a[i + 1 :, i]))
+        if rest != 0.0:
+            beta = -math.copysign(math.hypot(alpha, rest), alpha)
+            tau[i] = (beta - alpha) / beta
+            a[i + 1 :, i] *= 1.0 / (alpha - beta)
+            a[i, i] = beta
+            v = np.concatenate(([1.0], a[i + 1 :, i]))
+            a[i:, i + 1 :] -= tau[i] * np.outer(v, v @ a[i:, i + 1 :])
+        live = i + 1 + np.flatnonzero(norms[i + 1 :] != 0.0)
+        shrink = np.maximum(1.0 - (np.abs(a[i, live]) / norms[live]) ** 2, 0.0)
+        lost = shrink * (norms[live] / exact[live]) ** 2 <= _SQRT_EPS
+        norms[live] *= np.sqrt(shrink)
+        redo = live[lost]
+        norms[redo] = exact[redo] = np.linalg.norm(a[i + 1 :, redo], axis=0)
+    return a, tau, piv
+
+
+def fit_ols(data: Dataset) -> FitResult:
+    """Least squares via pivoted QR and back-substitution, normal-theory errors."""
     n, w = data.n, data.w
     if n <= w:
         raise DataError(f"OLS needs n > w, got n={n}, w={w}")
-    q, r, piv = sla.qr(data.x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    a, tau, piv = _pivoted_qr(data.x)
+    diag = np.abs(np.diag(a))
     tol = diag.max() * max(n, w) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < w:
@@ -146,15 +183,22 @@ def fit_ols(data: Dataset) -> FitResult:
         dependent = sorted(names[j] for j in piv[rank:])
         raise DataError(f"design matrix is rank-deficient; dependent columns: {dependent}")
 
+    qty = data.y.copy()  # Q^T y, one reflector at a time
+    for i in range(w):
+        v = np.concatenate(([1.0], a[i + 1 :, i]))
+        qty[i:] -= tau[i] * (v @ qty[i:]) * v
+    coef = np.empty(w)
+    for i in range(w - 1, -1, -1):
+        coef[i] = (qty[i] - a[i, i + 1 : w] @ coef[i + 1 :]) / a[i, i]
     theta = np.empty(w)
-    theta[piv] = sla.solve_triangular(r, q.T @ data.y)
+    theta[piv] = coef
     resid = data.y - data.x @ theta
     sigma2 = float(resid @ resid) / (n - w)
     xtx_inv = np.linalg.inv(data.x.T @ data.x)
     std = np.sqrt(np.maximum(sigma2 * np.diag(xtx_inv), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, theta / std, np.inf)
-    p = 2.0 * (1.0 - ndtr(np.abs(z)))
+    p = np.array([2.0 * (1.0 - ndtr(v)) for v in np.abs(z).tolist()])
     support = tuple(j for j in range(1, w) if theta[j] != 0.0)
     return FitResult(
         model="ols",

@@ -227,17 +227,31 @@ def _draw_volumes(rng: np.random.Generator, config: SynthConfig) -> np.ndarray:
     return v
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, as ``scipy.fft.next_fast_len(n, True)`` gives it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _causal_convolution(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """The first len(x) terms of the linear convolution of x with an equally long kernel.
 
-    Bit for bit what ``scipy.signal.fftconvolve(x, kernel)[:len(x)]`` gives,
-    without the import of ``scipy.signal``.
+    Bit for bit what ``scipy.signal.fftconvolve(x, kernel)[:len(x)]`` gives:
+    numpy's pocketfft is scipy's, at the transform length scipy picks.
     """
-    from scipy import fft
-
     t = x.size
-    n = fft.next_fast_len(2 * t - 1, True)
-    return fft.irfft(fft.rfft(x, n) * fft.rfft(kernel, n), n)[:t]
+    n = _next_fast_len(2 * t - 1)
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(kernel, n), n)[:t]
 
 
 def generate_tim_series(config: SynthConfig, bond_index: int = 0) -> tuple[SignSeries, SynthManifest]:

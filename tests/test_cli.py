@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -215,6 +216,7 @@ BAD_SETTINGS = [
     (["fit", "--features", "features.csv"], {"fit": {"model": "ridge"}}),
     (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:1001"], None),
     (["fit", "--features", "features.csv", "--lambda-grid", "0.1:1:100000000000"], None),
+    (["impact", "--signed", "signed.csv", "--l-max", cli.MAX_L_MAX + 1], None),
 ]
 
 
@@ -399,6 +401,38 @@ def test_holiday_not_in_the_fixed_form_exit_2(workdir, capsys, line):
     assert f"{line!r} at holidays.txt:2" in error["message"]
 
 
+def test_calendar_with_a_byte_order_mark_reads_the_same_holidays(workdir):
+    generate(workdir)
+    clean = {}
+    for bom in ("", "\ufeff"):
+        Path("holidays.txt").write_text(f"{bom}2015-01-06\n2015-01-07\n", encoding="utf-8")
+        assert run(["ingest", "--tape", "tape.csv", "--calendar", "holidays.txt"]) == 0
+        clean[bom] = Path("clean.csv").read_bytes()
+    assert clean[""] == clean["\ufeff"]
+    assert run(["ingest", "--tape", "tape.csv"]) == 0
+    assert Path("clean.csv").read_bytes() != clean[""]  # the holidays took trades out
+
+
+def test_spread_logs_one_line_for_all_degenerate_mids(workdir, capsys, caplog):
+    # per bond: sell at 1, buy at 10, sell at 1, buy at 10; under the paper
+    # convention the first and last pairs reconstruct a mid below zero
+    rows = [
+        f"{cusip},{k},2015-01-05 10:0{k}:00,{price},250000.0,{leg},{eps},0"
+        for cusip in ("A", "B")
+        for k, (price, leg, eps) in enumerate(
+            [("1.0", "customer_sell", -1), ("10.0", "customer_buy", 1)] * 2
+        )
+    ]
+    Path("signed.csv").write_text("\n".join([",".join(artifacts.SIGNED.header), *rows, ""]))
+    with caplog.at_level(logging.WARNING, logger="bondtca.microstructure"):
+        assert run(["spread", "--signed", "signed.csv"]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "4 degenerate mids in 2 bonds; observations dropped"
+    ]
+    out = capsys.readouterr().out
+    assert out == "2 spread observations -> 2 bond-weeks (50.0% of trades used)\n"
+
+
 @pytest.mark.parametrize("name, data, argv, code", UNDECODABLE.values(), ids=UNDECODABLE)
 def test_undecodable_input_ends_in_a_documented_exit(workdir, capsys, name, data, argv, code):
     Path(name).write_bytes(data if isinstance(data, bytes) else data.encode("latin-1"))
@@ -475,19 +509,48 @@ def test_out_of_memory_exit_5(workdir, capsys, monkeypatch):
     assert error["message"] == "out of memory: Unable to allocate 745. GiB for an array"
 
 
-def test_cli_import_loads_no_scipy():
-    # every stage is its own process; scipy is imported only by the
-    # functions that call it, so a stage that needs none pays nothing for it
+NO_SCIPY_CHAIN = (
+    ["generate", "--seed", "7", "--events", "2500", "--bonds", "6", "--rpt-fraction", "0.1"],
+    ["ingest", "--tape", "tape.csv", "--cap-volumes", "--reference", "reference.csv"],
+    ["classify", "--clean", "clean.csv"],
+    ["spread", "--signed", "signed.csv"],
+    ["features", "--signed", "signed.csv", "--weekly", "weekly.csv",
+     "--reference", "reference.csv", "--context", "context.csv"],
+    ["fit", "--features", "features.csv", "--model", "lslasso", "--k-folds", "3"],  # OLS refits
+    ["impact", "--signed", "signed.csv", "--min-events", "100", "--model", "both"],
+    ["report", "--signed", "signed.csv", "--out-one-sided", "one_sided.csv"],
+)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # each stage in a fresh interpreter, as a user runs it; scipy is only
+    # the tests' oracle
     import bondtca
 
     src = str(Path(bondtca.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, bondtca.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    code = (
+        "import sys\nfrom bondtca.cli import main\ncode = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert out.stdout.strip() == "[]"
+    for argv in NO_SCIPY_CHAIN:
+        out = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "0 []", argv
+
+
+def test_package_source_imports_no_scipy():
+    import bondtca
+
+    for path in Path(bondtca.__file__).parent.glob("*.py"):
+        for line in path.read_text().splitlines():
+            words = line.split()
+            assert not (words[:1] in (["import"], ["from"]) and words[1].startswith("scipy")), (
+                f"{path.name}: {line.strip()}"
+            )
 
 
 def test_benchmark_tracer_layer_names_are_bound():

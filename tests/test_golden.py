@@ -69,18 +69,18 @@ ARTIFACT_SHA256 = {
     "clean.csv": "07c687c2946f10f9af8efd54d45910c70b778da5deca4b748eaac3c8e5f7b7d8",
     "context.csv": "03616fdaa6e1449a325d4f5f20900bbfdc93ee78d9148d16a3816ae19e650a41",
     "cv.json": "07a7658ac161497f039f367cfb8578a4a098cba896fc36a9eabedf340ace1e69",
-    "cv_lslasso.json": "e60913f83e0ef2c82391a556bf5367a9e3fa00fb0a681ca4483908298cdc7b57",
+    "cv_lslasso.json": "dc06fcf485d9eb8ec34069931eec572d1246196024500cbea23698c6929c9c5e",
     "features.csv": "b6ed51d1097e0532306d02d51a7ce6abc898ee28844cdc42cc4aeee72da1b29f",
     "filter_report.json": "e21fb800659ebff6abb31317061477f8a4fe17940bca76a70a3300121345e0ad",
     "fit.json": "cab7fd9408a0b2891aaba9373fdf9f7d0f66051211196d15dda8b2203661047d",
-    "fit_lslasso.json": "49bc55ba106f8481074a924b3a359a5858f490c915dab0cafa21d6e99afe08a9",
+    "fit_lslasso.json": "778e9449f126043cdf12b921b3440d0b664898b695e0944855e0d11fe7dbaf1a",
     "kernels.json": "a2cd00d706027611f2bf8796f626b72e7bd299d2161a2ec2a7ddcf9b70bd4076",
     "kernels_tim1.json": "aa02d592db40cfa87d9679a4bb0fbc804088c871d33abbfc905ad4219a22d70e",
     "kernels_tim2.json": "02e7786a9fe49ce60f97afcc6fdc3d5558a34870286767243796e61c7abfd41c",
     "manifest.json": "edbf57256ef9311a554cc237d8fcc15eec5642912333cac52da61d0f69ea22b4",
     "one_sided.csv": "5abf335114e263dea4ccb28c3f685ac56f007a1fabf993cb773f6d1fcc0a4de8",
     "reference.csv": "21f43c38053271adc73b326d7d647b1d1dd91c739297367baf4248d061d02fab",
-    "report.json": "ce0f19aa8f703ed9e80765a101a5d063fb6fde1b26349583825365e5f5c739fd",
+    "report.json": "840e749e3fafccad1a068337f10536b5e44eb2aab4f8e2d48c78f4e4b5e22059",
     "signature.csv": "f74d1fd7ab833ddec4e15e867e2ffe1dca636520f7913d637dba8cfe6412a857",
     "signature_tim1.csv": "82c681972c2f61794b3e8bcf8349caaf7a79f44fe8ef48d7e1105dbda89dd602",
     "signature_tim2.csv": "6a40ce86a5192fc9b6dd41e6f4e23925a530e558fe43e1a2fcbf55b2aaa1863d",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -318,6 +319,18 @@ class TestSolveTim2:
         assert kernels[1].g[0] > kernels[-1].g[0]
         assert np.abs(kernels[1].g[:2] - tp[:2]).max() / tp[1] < 0.10
         assert np.abs(kernels[-1].g[:2] - tm[:2]).max() / tm[1] < 0.10
+
+    def test_mirrored_series_swaps_the_kernels(self):
+        # buys become sells and the mid turns over: each type's response and
+        # moments are the other type's, so the tim2 kernels trade places and
+        # tim1, which does not tell the types apart, is unchanged
+        s, _ = generate_tim_series(self.asym_config(seed=12, t=20_000))
+        mirror = dataclasses.replace(s, epsilon=-s.epsilon, mid=-s.mid)
+        kernels, mirrored = solve_tim2(s, 10, 10), solve_tim2(mirror, 10, 10)
+        assert np.max(np.abs(kernels[1].g - kernels[-1].g)) > 1.0  # the types differ
+        for pi in EVENT_TYPES:
+            assert np.max(np.abs(mirrored[-pi].g - kernels[pi].g)) <= 9e-14
+        assert np.array_equal(estimate_tim1(mirror).g, estimate_tim1(s).g)
 
     def test_decoupled_block_system_matches_per_type(self):
         # independent typing: zero cross-type correlations decouple the blocks

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import linalg as sla
+from scipy.special import ndtr
 
 from bondtca.errors import DataError, NumericalError
 from bondtca.regress import (
@@ -12,6 +14,7 @@ from bondtca.regress import (
     fit_lasso,
     fit_ols,
     fit_ridge,
+    _pivoted_qr,
     k_fold_cv,
     kkt_gap,
     lasso_lambda_max,
@@ -74,6 +77,61 @@ class TestOls:
     def test_needs_more_rows_than_columns(self):
         with pytest.raises(DataError, match="n > w"):
             fit_ols(dataset([1.0, 2.0], [[1.0], [2.0]]))
+
+
+def scipy_ols(x, y):
+    """The LAPACK path fit_ols replaced: geqp3, explicit Q, trtrs, cephes ndtr."""
+    q, r, piv = sla.qr(x, mode="economic", pivoting=True)
+    theta = np.empty(x.shape[1])
+    theta[piv] = sla.solve_triangular(r, q.T @ y)
+    resid = y - x @ theta
+    sigma2 = resid @ resid / (x.shape[0] - x.shape[1])
+    std = np.sqrt(sigma2 * np.diag(np.linalg.inv(x.T @ x)))
+    return theta, std, 2.0 * (1.0 - ndtr(np.abs(theta / std)))
+
+
+def random_design(seed: int, n: int, p: int) -> np.ndarray:
+    """Covariates with distinct scales and offsets, so column norms differ."""
+    rng = np.random.default_rng(seed)
+    cov = rng.normal(size=(n, p)) * rng.uniform(0.5, 20.0, size=p) + rng.normal(size=p)
+    return np.column_stack([np.ones(n), cov])
+
+
+class TestOlsAgainstScipy:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 60), p=st.integers(0, 20))
+    def test_matches_the_lapack_path(self, seed, extra, p):
+        x = random_design(seed, p + 1 + extra, p)
+        rng = np.random.default_rng(seed + 1)
+        y = x @ rng.normal(size=p + 1) + rng.normal(size=x.shape[0])
+        fit = fit_ols(Dataset(y=y, x=x, feature_names=tuple(f"x{j}" for j in range(p))))
+        theta, std, pvals = scipy_ols(x, y)
+        scale = np.max(np.abs(theta))
+        assert np.max(np.abs(fit.theta - theta)) <= 1e-12 * scale
+        assert np.max(np.abs(fit.std_errors - std) / std) <= 1e-12
+        assert np.max(np.abs(fit.p_values - pvals)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 40), p=st.integers(0, 20))
+    def test_pivot_order_is_geqp3s(self, seed, extra, p):
+        x = random_design(seed, p + 1 + extra, p)
+        a, _, piv = _pivoted_qr(x)
+        _, r, expect = sla.qr(x, mode="economic", pivoting=True)
+        assert piv.tolist() == expect.tolist()
+        assert np.allclose(np.abs(np.diag(a)), np.abs(np.diag(r)), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_verdict_is_the_lapack_paths(self, seed):
+        # one covariate a combination of two others: both paths find rank w - 1
+        x = random_design(seed, 30, 5)
+        x[:, 5] = x[:, 1] - 2.0 * x[:, 3]
+        _, r, _ = sla.qr(x, mode="economic", pivoting=True)
+        a, _, _ = _pivoted_qr(x)
+        for diag in (np.abs(np.diag(r)), np.abs(np.diag(a))):
+            tol = diag.max() * 30 * np.finfo(float).eps
+            assert int(np.sum(diag > tol)) == 5
+        with pytest.raises(DataError, match="rank-deficient"):
+            fit_ols(Dataset(y=np.arange(30.0), x=x, feature_names=("a", "b", "c", "d", "e")))
 
 
 class TestRidge:

@@ -2,19 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+from scipy import special
 from scipy.stats import rankdata
 
 from bondtca.errors import DataError
 from bondtca.stats import (
+    _betainc,
+    _log_beta,
     _mid_ranks,
     anova_f,
     chi2_sf,
     f_sf,
     kruskal_h,
     ks_two_sample,
+    ndtr,
+    t_sf,
     welch_t,
 )
+
+
+def rel_err(value: float, expect: float) -> float:
+    return abs(value - expect) / abs(expect)
 
 
 class TestAnova:
@@ -193,6 +204,100 @@ class TestDistributionTails:
         # F(1, 10): 95% at 4.9646; F(3, 20): 99% at 4.938
         assert f_sf(4.964602743730711, 1, 10) == pytest.approx(0.05, abs=1e-3)
         assert f_sf(4.938, 3, 20) == pytest.approx(0.01, abs=1e-3)
+
+
+class TestTailsAgainstScipy:
+    """The numpy-only tails, with scipy.special as the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(df=st.floats(1.0, 1e6), log_tail=st.floats(-300.0, math.log10(0.5)))
+    def test_t_sf_matches_stdtr(self, df, log_tail):
+        t = -float(special.stdtrit(df, 10.0**log_tail))
+        assume(math.isfinite(t) and t > 0)
+        expect = float(special.stdtr(df, -t))
+        assume(expect >= 1e-300)
+        assert rel_err(t_sf(t, df), expect) <= 1e-12
+        assert rel_err(t_sf(-t, df), 1.0 - expect) <= 1e-12
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        d1=st.integers(1, 100),
+        d2=st.floats(1.0, 1e6),
+        log_tail=st.floats(-200.0, -1e-3),
+    )
+    def test_betainc_matches_scipy(self, d1, d2, log_tail):
+        # at one exact x, so that the rounding of d2 / (d2 + d1 f) (up to
+        # d2/2 ulps in the result) is not counted; further out scipy's
+        # betainc itself is off (by 1e-11 near 1e-250 and up to 100% near
+        # 1e-290, seen against 50-digit mpmath): those points are in
+        # test_f_sf_far_tail_matches_mpmath
+        a, b = d2 / 2.0, d1 / 2.0
+        x = float(special.betaincinv(a, b, 10.0**log_tail))
+        assume(0.0 < x < 1.0)
+        expect = float(special.betainc(a, b, x))
+        assume(expect >= 1e-200)
+        assert rel_err(_betainc(a, b, x, 1.0 - x), expect) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(df=st.floats(1.0, 1e6), log_tail=st.floats(-300.0, math.log10(0.5)))
+    def test_f_sf_with_one_numerator_df_matches_stdtr(self, df, log_tail):
+        # F(1, df) at t^2 is the two-sided t tail
+        t = -float(special.stdtrit(df, 10.0**log_tail))
+        assume(math.isfinite(t) and t > 0)
+        expect = 2.0 * float(special.stdtr(df, -t))
+        assume(expect >= 1e-300)
+        assert rel_err(f_sf(t * t, 1, df), expect) <= 1e-12
+
+    def test_f_sf_far_tail_matches_mpmath(self):
+        # points where scipy's betainc/betaincc is off by more than 1e-12
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for d1, d2, f in [
+            (79, 924.4365535294363, 47.1251786312832),  # 5.5e-271; scipy off by 33%
+            (64, 413.63798606032645, 236.90764830845876),  # 7.8e-288; scipy off by 100%
+            (72, 495.7197900226857, 127.51750578575877),  # 1.5e-276; scipy off by 1.5e-7
+            (14, 581999.6028492488, 2.577647882844447),  # 1.0e-3; scipy off by 1.7e-12
+            (20, 7488.026638471354, 1.8392473515504495),  # scipy's betaincc off by 1e-12
+            (77, 44139.0, 19.02942041516669),  # about 1e-250; scipy off by 1.1e-11
+        ]:
+            big_d1, big_d2 = mp.mpf(d1), mp.mpf(d2)
+            x = big_d2 / (big_d2 + big_d1 * mp.mpf(f))
+            expect = mp.betainc(big_d2 / 2, big_d1 / 2, 0, x, regularized=True)
+            assert rel_err(f_sf(f, d1, d2), float(expect)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(1, 300), log_tail=st.floats(-300.0, 0.0))
+    def test_chi2_sf_matches_gammaincc(self, k, log_tail):
+        x = float(special.chdtri(k, 10.0**log_tail))
+        assume(math.isfinite(x))
+        expect = float(special.gammaincc(k / 2.0, x / 2.0))
+        assume(expect >= 1e-300)
+        assert rel_err(chi2_sf(x, k), expect) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-40.0, 40.0) | st.sampled_from([0.0, 1.0, -1.0, math.inf, -math.inf]))
+    def test_ndtr_matches_scipy(self, x):
+        assert abs(ndtr(x) - float(special.ndtr(x))) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 10, 11, 30, 99, 100, 101, 2_000, 10_000])
+    @pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 40])
+    def test_log_beta_of_integers_is_exact(self, m, k):
+        # B(m, k) = (m-1)! (k-1)! / (m+k-1)!, and B(m, 1/2) = 4^m m! (m-1)! / (2m)!:
+        # both as exact fractions, one rounding to float
+        integer = Fraction(math.factorial(m - 1) * math.factorial(k - 1), math.factorial(m + k - 1))
+        half = Fraction(4**m * math.factorial(m) * math.factorial(m - 1), math.factorial(2 * m))
+        for b, exact in ((k, integer), (0.5, half)):
+            expect = math.log(float(exact))
+            assert abs(_log_beta(m, b) - expect) <= 1e-14 * max(1.0, abs(expect))
+            assert _log_beta(b, m) == _log_beta(m, b)
+
+    def test_t_sf_edges(self):
+        assert t_sf(0.0, 5.0) == 0.5
+        assert t_sf(math.inf, 5.0) == 0.0
+        assert t_sf(-math.inf, 5.0) == 1.0
+        assert math.isnan(t_sf(math.nan, 5.0))
+        # far past where t * t overflows: the tail of t(1) is 1 / (pi t)
+        assert rel_err(t_sf(1e200, 1.0), 1.0 / (math.pi * 1e200)) <= 1e-12
 
 
 class TestStationarity:

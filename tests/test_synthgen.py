@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
 from bondtca.calendars import BusinessCalendar, IsoWeek
@@ -14,6 +15,7 @@ from bondtca.synthgen import (
     KernelSpec,
     SignProcess,
     SynthConfig,
+    _next_fast_len,
     generate_tim_series,
     generate_trace_fixture,
     market_context_rows,
@@ -126,6 +128,10 @@ class TestTimSeries:
             if mask.any():
                 expect += fftconvolve(np.where(mask, u, 0.0), cfg.kernel_for(pi).values(t))[:t]
         assert np.array_equal(s.mid, expect)
+
+    def test_fast_length_is_scipys(self):
+        lengths = [*range(1, 5_000), *(2 * t - 1 for t in (20_000, 100_000, 1_000_000))]
+        assert [_next_fast_len(n) for n in lengths] == [next_fast_len(n, True) for n in lengths]
 
     def test_bond_streams_differ(self):
         cfg = SynthConfig(seed=5, n_events=5000)
