@@ -88,10 +88,14 @@ def read_json(path: str | Path):
 
 
 class Codec(NamedTuple):
-    """How a column's field is parsed from text and formatted back."""
+    """How a column's field is parsed from text and formatted back, and the
+    numpy field that the column reader reads it into ('' where none does).
+    An S field is one byte wider than its longest text that the column
+    reader takes, so that a longer text shows."""
 
     parse: Callable[[str], Any]
     format: Callable[[Any], str]
+    field: str = ""
 
 
 class CsvArtifact(NamedTuple):
@@ -175,35 +179,40 @@ def _conditions_text(codes: frozenset[str]) -> str:
 
 
 def _float_text(value) -> str:
-    return repr(float(value))  # repr of a numpy scalar is "np.float64(...)" under numpy 2
+    value = float(value)  # repr of a numpy scalar is "np.float64(...)" under numpy 2
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite number {value!r}")
+    return repr(value)
 
 
 def _optional_float_text(value) -> str:
-    return "" if value is None else repr(float(value))
+    return "" if value is None else _float_text(value)
 
 
 def _choice(values: tuple, format: Callable[[Any], str] = str) -> Codec:
     """A field that is one of ``values``, each written with ``format``."""
-    return Codec({format(v): v for v in values}.__getitem__, format)
+    texts = {format(v): v for v in values}
+    return Codec(texts.__getitem__, format, f"S{max(len(t.encode()) for t in texts) + 1}")
 
 
 _int_text = "%d".__mod__  # str(int(value)), for bools and numpy integers too
-TEXT = Codec(_text, str)  # any text without a NUL
+TEXT = Codec(_text, str, "S32")  # any text without a NUL; the column reader's up to 31 bytes
 INT = Codec(int, _int_text)
-INT64 = Codec(_int64, _int_text)
-FLOAT = Codec(_finite, _float_text)  # NaN, infinities and overflow are rejected
-POSITIVE_FLOAT = Codec(_positive, _float_text)
+INT64 = Codec(_int64, _int_text, "i8")
+FLOAT = Codec(_finite, _float_text, "f8")  # NaN, infinities and overflow are rejected
+POSITIVE_FLOAT = Codec(_positive, _float_text, "f8")
 OPTIONAL_FLOAT = Codec(_optional_finite, _optional_float_text)  # "" is None
 # YYYY-MM-DD HH:MM:SS, YYYY-MM-DD and HH:MM:SS: no fraction, no UTC offset
 TIMESTAMP = Codec(
     _fixed_form(f"{DATE_FORM} {_TIME_FORM}", dt.datetime.fromisoformat),
     methodcaller("isoformat", " "),
+    "S20",
 )
-DATE = Codec(_fixed_form(DATE_FORM, dt.date.fromisoformat), dt.date.isoformat)
+DATE = Codec(_fixed_form(DATE_FORM, dt.date.fromisoformat), dt.date.isoformat, "S11")
 WEEK = Codec(IsoWeek.parse, attrgetter("label"))
-CLOCK_TIME = Codec(_fixed_form(_TIME_FORM, dt.time.fromisoformat), dt.time.isoformat)
-OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty)  # "" is None
-CONDITIONS = Codec(_conditions, _conditions_text)  # codes separated by ';' or spaces
+CLOCK_TIME = Codec(_fixed_form(_TIME_FORM, dt.time.fromisoformat), dt.time.isoformat, "S9")
+OPTIONAL_TEXT = Codec(_text_or_none, _none_as_empty, "S32")  # "" is None
+CONDITIONS = Codec(_conditions, _conditions_text, "S32")  # codes separated by ';' or spaces
 LEG = _choice(LEGS)
 
 # the input trade tape; a choice column parses to its module constant
@@ -351,38 +360,25 @@ def _decode_error(path) -> ParseError:
 
 
 def _write(path: str | Path, artifact: CsvArtifact, rows: Iterable, meta: Mapping | None) -> None:
-    """Write the provenance line, the header and one line per row."""
+    """Write the provenance line, the header and one line per row. A NaN or
+    an infinity raises NumericalError and leaves no file."""
     leading = dataclasses.fields(artifact.row_type)[: len(artifact.columns)]
     fields = attrgetter(*(f.name for f in leading))
     formats = [c.format for c in artifact.columns.values()]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(meta_line(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(artifact.header)
-        writer.writerows(map(_call, formats, fields(r)) for r in rows)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(meta_line(meta) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(artifact.header)
+            writer.writerows(map(_call, formats, fields(r)) for r in rows)
+    except NumericalError as exc:
+        Path(path).unlink()
+        raise NumericalError(f"{path}: {exc}") from None
 
 
-# -- the trade files, column by column ---------------------------------------
+# -- the trade tape and the trade files, column by column --------------------
 
-_CUSIP_WIDTH = 32  # bytes; a longer cusip is read by the row path
-# the numpy field of each CLEAN/SIGNED column; an S field is one byte wider
-# than its longest valid text, so that a longer text shows
-_TABLE_FIELDS = {
-    "cusip": f"S{_CUSIP_WIDTH}",
-    "k": "i8",
-    "timestamp": "S20",
-    "price": "f8",
-    "volume": "f8",
-    "leg": "S14",
-    "epsilon": "S3",
-    "is_rpt": "S2",
-}
-# a choice column's texts and the table's value for each
-_TABLE_CHOICES = {
-    "leg": {leg.encode(): code for code, leg in enumerate(LEGS)},
-    "epsilon": {b"-1": -1, b"0": 0, b"1": 1},
-    "is_rpt": {b"0": False, b"1": True},
-}
+_BYTES_PER_READ = 1 << 20  # and the rest of the line: larger blocks raise peak RSS
 
 
 def _preamble_lines(fh, artifact: CsvArtifact) -> int | None:
@@ -410,38 +406,39 @@ def _preamble_lines(fh, artifact: CsvArtifact) -> int | None:
 
 
 def _plain_rows(data: bytes) -> bool:
-    """Whether CSV rows hold no quote and no control byte but the line feed:
-    no NUL, no carriage return, and none of the bytes that numpy skips around
-    a number and Python's float does not (0x1c-0x1f)."""
+    """Whether CSV rows are UTF-8 text with no quote and no control byte but
+    the line feed: no NUL, no carriage return, and none of the bytes that
+    numpy skips around a number and Python's float does not (0x1c-0x1f)."""
     controls = np.count_nonzero(np.frombuffer(data, np.uint8) < 0x20)
-    return b'"' not in data and controls == data.count(b"\n")
+    if b'"' in data or controls != data.count(b"\n"):
+        return False
+    try:
+        data.isascii() or data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
-def _canonical_preamble(path, artifact: CsvArtifact) -> int | None:
-    """The number of lines up to the header, if the file has the canonical
-    shape that the column reader takes, else None: the preamble of
-    ``_preamble_lines``, then plain rows (``_plain_rows``).
-    """
-    with open(path, "rb") as fh:
-        lines = _preamble_lines(fh, artifact)
-        if lines is None:
-            return None
-        while chunk := fh.read(1 << 20):
-            if not _plain_rows(chunk):
-                return None
-    return lines
+def _codes(values: np.ndarray, choices: Mapping[str, Any]) -> np.ndarray | None:
+    """Each text's choice, or None if a text is none: the number itself where
+    the choices are numbers (False and True too), else its index."""
+    codes = np.zeros(len(values), np.int8)
+    known = np.zeros(len(values), np.bool_)
+    for index, (text, value) in enumerate(choices.items()):
+        hit = values == text.encode()
+        codes[hit] = value if isinstance(value, int) else index
+        known |= hit
+    return codes if known.all() else None
 
 
-# 'YYYY-MM-DD HH:MM:SS' in an S20 field: 'd' is a digit, the last byte the padding
-_TIMESTAMP_FORM = b"dddd-dd-dd dd:dd:dd\0"
-
-
-def _timestamps(text: np.ndarray) -> np.ndarray | None:
-    """datetime64[s] values of 'YYYY-MM-DD HH:MM:SS' texts (an S20 array), or
-    None if any text is not a real date and time of that form."""
-    chars = np.ascontiguousarray(text).view(np.uint8).reshape(len(text), 20)
-    ok = np.ones(len(text), np.bool_)
-    for i, byte in enumerate(_TIMESTAMP_FORM):
+def _moments(text: np.ndarray, unit: str) -> np.ndarray | None:
+    """Texts of 'YYYY-MM-DD HH:MM:SS' (an S20 field) or 'YYYY-MM-DD' (S11) as
+    datetime64 ``unit``, or None if any is not a real date or time of that
+    form."""
+    form = b"dddd-dd-dd dd:dd:dd"[: text.itemsize - 1]  # 'd' a digit
+    chars = np.ascontiguousarray(text).view(np.uint8).reshape(len(text), text.itemsize)
+    ok = chars[:, -1] == 0  # the padding: the text is no longer than the form
+    for i, byte in enumerate(form):
         if byte == ord("d"):
             ok &= chars[:, i] - np.uint8(48) < 10  # a byte that is no digit wraps above 9
         else:
@@ -450,204 +447,153 @@ def _timestamps(text: np.ndarray) -> np.ndarray | None:
     if not ok.all():
         return None
     try:
-        return text.astype("datetime64[s]")
+        return text.astype(unit)
     except ValueError:  # not a real date or time, such as 2015-02-29 or 24:00:00
         return None
 
 
-def _codes(values: np.ndarray, code_of: Mapping[bytes, int]) -> np.ndarray | None:
-    """The code of each text of a choice column, or None if a text has none."""
-    codes = np.zeros(len(values), np.int8)
-    known = np.zeros(len(values), np.bool_)
-    for text, code in code_of.items():
-        hit = values == text
-        codes[hit] = code
-        known |= hit
-    return codes if known.all() else None
+def _column(values: np.ndarray, codec: Codec) -> np.ndarray | None:
+    """A field of numpy's rows as the column reader's column, or None if any
+    value is one that the row path would read otherwise or reject: a
+    choice's codes (``_codes``), a date as datetime64[D], a timestamp as
+    datetime64[s], a time of day as timedelta64[s], a free text as narrow as
+    its longest, a number as it is."""
+    choices = getattr(codec.parse, "__self__", None)  # a choice column parses by lookup
+    if isinstance(choices, dict):
+        return _codes(values, choices)
+    if codec == CLOCK_TIME:  # the time on 1970-01-01
+        stamps = _moments(np.char.add(b"1970-01-01 ", values), "datetime64[s]")
+        return None if stamps is None else stamps - np.datetime64(0, "s")
+    if codec in (DATE, TIMESTAMP):
+        return _moments(values, "datetime64[D]" if codec == DATE else "datetime64[s]")
+    if values.dtype.kind == "S":
+        width = int(np.char.str_len(values).max(initial=0))
+        return None if width >= values.itemsize else values.astype(f"S{max(width, 1)}")
+    ok = np.isfinite(values) & (values > 0) if codec == POSITIVE_FLOAT else np.isfinite(values)
+    return values.copy() if ok.all() else None  # a copy: a field keeps all the rows alive
 
 
-def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
-    """The trade file as a table, parsed column by column, or None if any of
-    its text is not canonical, in which case the row path decides."""
-    skip = _canonical_preamble(path, artifact)
-    if skip is None:
+def _block_columns(data: bytes, artifact: CsvArtifact, reduce: Callable) -> dict | None:
+    """Whole lines of rows as their columns through ``reduce`` (none for
+    blank lines), or None if any of their text is not canonical: rows that
+    are not plain (``_plain_rows``), a row numpy cannot read, or a field
+    that its column does not take (``_column``). A function of its own, so
+    that numpy's rows are freed before the next block is read."""
+    if not _plain_rows(data):
         return None
-    names = list(artifact.columns)
-    dtype = [(name, _TABLE_FIELDS[name]) for name in names]
+    fields = [(name, codec.field) for name, codec in artifact.columns.items()]
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns about a file without rows
+            warnings.simplefilter("ignore")  # numpy warns about lines that are all blank
             rows = np.loadtxt(
-                path, dtype, delimiter=",", comments=None, skiprows=skip, encoding="latin1",
-                ndmin=1,
+                io.BytesIO(data), fields, delimiter=",", comments=None, encoding="latin1", ndmin=1
             )
     except ValueError:
         return None
-    columns = {}
-    for name in names:
-        values = rows[name]
-        if name in _TABLE_CHOICES:
-            values = _codes(values, _TABLE_CHOICES[name])
-            if values is None:
-                return None
-        elif name in ("price", "volume") and not np.all(np.isfinite(values) & (values > 0)):
+    columns = {name: _column(rows[name], codec) for name, codec in artifact.columns.items()}
+    if any(values is None for values in columns.values()):
+        return None
+    return reduce(columns)
+
+
+def _read_columns(path, artifact: CsvArtifact, reduce: Callable) -> dict | None:
+    """A CSV's columns, read a block of whole lines at a time, or None if any
+    of its text is not canonical, in which case the row path decides.
+
+    The canonical text is the preamble of ``_preamble_lines``, then rows
+    that ``_block_columns`` takes. ``reduce`` turns each block's columns
+    into the ones kept, or returns None to defer.
+    """
+    blocks = []
+    with open(path, "rb") as fh:
+        if _preamble_lines(fh, artifact) is None:
             return None
-        columns[name] = values
-    columns["timestamp"] = _timestamps(columns["timestamp"])
-    if columns["timestamp"] is None:
-        return None
-    cusip = columns.pop("cusip")
-    starts = np.flatnonzero(cusip[1:] != cusip[:-1]) + 1
-    cusips = cusip[np.append(0, starts)] if len(cusip) else cusip
-    if np.all(cusips[1:] > cusips[:-1]):  # one run per bond, in cusip order
-        codes = np.repeat(np.arange(len(starts) + 1), np.diff([0, *starts, len(cusip)]))
-    else:
-        cusips, codes = np.unique(cusip, return_inverse=True)
-    cusips = cusips.tolist()
-    if any(len(name) >= _CUSIP_WIDTH for name in cusips):
-        return None  # may have been cut
-    try:
-        cusips = [name.decode("utf-8") for name in cusips]
-    except UnicodeDecodeError:
-        return None
-    return TradeTable.from_codes(cusips, codes, **columns)
-
-
-# -- the trade tape, column by column ----------------------------------------
-
-_TAPE_BYTES_PER_READ = 1 << 21  # whole lines; about 16k rows of a synthetic tape
-_TAPE_TEXT_WIDTH = 32  # bytes; a longer free text is read by the row path
-_TAPE_TEXTS = ("record_id", "cusip", "references_record", "sale_condition")
-# a choice column's texts and the code of each: its index in the column's choices
-_TAPE_CHOICES = {
-    name: {text.encode(): code for code, text in enumerate(TAPE.columns[name].parse.__self__)}
-    for name in ("report_kind", "capacity", "contra_party", "customer_side", "sub_product")
-}
-# the numpy field of each tape column; an S field is one byte wider than its
-# longest valid text, so that a longer text shows
-_TAPE_FIELDS = {
-    **dict.fromkeys(TAPE.columns, f"S{_TAPE_TEXT_WIDTH}"),
-    "exec_date": "S11",
-    "exec_time": "S9",
-    "price": "f8",
-    "volume": "f8",
-    **{name: f"S{max(map(len, texts)) + 1}" for name, texts in _TAPE_CHOICES.items()},
-}
-_TRADE_CODE, _CORRECTION_CODE = REPORT_KINDS.index(TRADE), REPORT_KINDS.index(CORRECTION)
-_DEALER_CODE, _NO_SIDE_CODE = CONTRA_PARTIES.index(DEALER), SIDES.index(None)
-
-
-def _short_texts(values: np.ndarray) -> np.ndarray | None:
-    """Texts of an S field, as narrow as the longest, or None if one may
-    have been cut."""
-    width = int(np.char.str_len(values).max(initial=0))
-    return None if width >= values.itemsize else values.astype(f"S{max(width, 1)}")
+        # one block at least, so that a file without rows has typed columns
+        while (data := fh.read(_BYTES_PER_READ) + fh.readline()) or not blocks:
+            block = _block_columns(data, artifact, reduce)
+            if block is None:
+                return None
+            blocks.append(block)
+    return {name: np.concatenate([block[name] for block in blocks]) for name in blocks[0]}
 
 
 def _recode(values: np.ndarray, code_of: dict[bytes, int]) -> np.ndarray:
     """Each text's code in ``code_of``, where a new text takes the next code;
     looked up once per run of equal texts."""
-    bounds = np.flatnonzero(values[1:] != values[:-1]) + 1
-    heads = values[np.r_[0, bounds]].tolist()
-    codes = [code_of.setdefault(text, len(code_of)) for text in heads]
-    return np.repeat(np.array(codes, np.int32), np.diff(np.r_[0, bounds, len(values)]))
+    heads = np.r_[True, values[1:] != values[:-1]][: len(values)]  # each run's first text
+    codes = [code_of.setdefault(text, len(code_of)) for text in values[heads].tolist()]
+    return np.array(codes, np.int32)[np.cumsum(heads) - 1]
 
 
-def _tape_chunk(lines: list[bytes], cusip_of: dict, condition_of: dict) -> dict | None:
-    """Whole lines of tape rows as Tape columns (none for blank lines), or
-    None if any of their text is not canonical: rows that are not plain
-    (``_plain_rows``) or not UTF-8, a row numpy cannot read, or a field that
-    the row path would read otherwise or reject."""
-    data = b"".join(lines)
-    if not _plain_rows(data):
+def _ranked(code_of: dict[bytes, int], codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The texts of ``code_of`` in sorted order, and ``codes`` as indices
+    into them."""
+    texts = sorted(code_of)  # UTF-8 bytes sort as their texts do
+    rank = np.empty(len(texts), np.int32)
+    rank[[code_of[text] for text in texts]] = np.arange(len(texts))
+    return tuple(text.decode("utf-8") for text in texts), rank[codes]
+
+
+def _read_table(path, artifact: CsvArtifact) -> TradeTable | None:
+    """The trade file as a table, or None if the column reader defers."""
+    cusip_of: dict[bytes, int] = {}
+    columns = _read_columns(
+        path, artifact, lambda block: {**block, "cusip": _recode(block["cusip"], cusip_of)}
+    )
+    if columns is None:
         return None
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy warns about lines that are all blank
-            rows = np.loadtxt(
-                lines, list(_TAPE_FIELDS.items()), delimiter=",", comments=None,
-                encoding="latin1", ndmin=1,
-            )
-    except ValueError:
-        return None
-    if not len(rows):
-        return {}
-    texts = {name: _short_texts(rows[name]) for name in _TAPE_TEXTS}
-    choices = {name: _codes(rows[name], code_of) for name, code_of in _TAPE_CHOICES.items()}
-    if any(values is None for values in (*texts.values(), *choices.values())):
-        return None
-    # copies: a field of the record array would keep all of it alive
-    kind, price, volume = choices["report_kind"], rows["price"].copy(), rows["volume"].copy()
+    cusips, codes = _ranked(cusip_of, columns.pop("cusip"))
+    return TradeTable.from_codes(cusips, codes, **columns)
+
+
+_TRADE_CODE, _CORRECTION_CODE = REPORT_KINDS.index(TRADE), REPORT_KINDS.index(CORRECTION)
+_DEALER_CODE, _NO_SIDE_CODE = CONTRA_PARTIES.index(DEALER), SIDES.index(None)
+
+
+def _tape_block(columns: dict, cusip_of: dict, condition_of: dict) -> dict | None:
+    """A block of tape columns as Tape columns, or None if a row breaks a
+    rule between fields (RawTradeReport's), which the row path reports."""
+    kind, price, volume = columns["report_kind"], columns["price"], columns["volume"]
+    references = columns["references_record"]
     valued = (kind == _TRADE_CODE) | (kind == _CORRECTION_CODE)  # a correction replaces a trade
     if not (
-        np.isfinite(price).all()
-        and np.isfinite(volume).all()
-        and np.all(((price > 0) & (volume > 0)) | ~valued)
-        and np.array_equal(texts["references_record"] != b"", kind != _TRADE_CODE)
+        np.all(((price > 0) & (volume > 0)) | ~valued)
+        and np.array_equal(references != b"", kind != _TRADE_CODE)
         and np.array_equal(
-            choices["contra_party"] == _DEALER_CODE, choices["customer_side"] == _NO_SIDE_CODE
+            columns["contra_party"] == _DEALER_CODE, columns["customer_side"] == _NO_SIDE_CODE
         )
     ):
         return None
-    # 'YYYY-MM-DD HH:MM:SS' from the two fields, each of exactly its form
-    n = len(rows)
-    date = np.ascontiguousarray(rows["exec_date"]).view(np.uint8).reshape(n, 11)
-    chars = np.empty((n, 20), np.uint8)
-    chars[:, :11] = date
-    chars[:, 10] = ord(" ")
-    chars[:, 11:] = np.ascontiguousarray(rows["exec_time"]).view(np.uint8).reshape(n, 9)
-    stamps = _timestamps(chars.view("S20").ravel())
-    if stamps is None or date[:, 10].any():
-        return None
     return {
-        "cusip": _recode(rows["cusip"], cusip_of),
-        "record_id": texts["record_id"],
-        "seconds": stamps.view(np.int64),
+        "cusip": _recode(columns["cusip"], cusip_of),
+        "record_id": columns["record_id"],
+        "seconds": (columns["exec_date"] + columns["exec_time"]).view(np.int64),
         "price": price,
         "volume": volume,
         "kind": kind,
-        "capacity": choices["capacity"],
-        "leg": choices["customer_side"],  # a side's code is its leg's; no side is a dealer leg
-        "condition": _recode(rows["sale_condition"], condition_of),
-        "sub_product": choices["sub_product"],
-        "references": texts["references_record"][kind != _TRADE_CODE],
+        "capacity": columns["capacity"],
+        "leg": columns["customer_side"],  # a side's code is its leg's; no side is a dealer leg
+        "condition": _recode(columns["sale_condition"], condition_of),
+        "sub_product": columns["sub_product"],
+        "references": references[kind != _TRADE_CODE],
     }
 
 
 def _read_tape(path) -> Tape | None:
-    """The tape as columns, read a chunk of lines at a time, or None if any
-    of its text is not canonical or a record id repeats, in which case the
-    row path decides."""
+    """The tape as columns, or None if the column reader defers or a record
+    id repeats, in which case the row path decides."""
     cusip_of: dict[bytes, int] = {}
     condition_of: dict[bytes, int] = {}
-    chunks = []
-    with open(path, "rb") as fh:
-        if _preamble_lines(fh, TAPE) is None:
-            return None
-        while lines := fh.readlines(_TAPE_BYTES_PER_READ):
-            chunk = _tape_chunk(lines, cusip_of, condition_of)
-            if chunk is None:
-                return None
-            if chunk:
-                chunks.append(chunk)
-    if not chunks:
-        return Tape.from_reports([])
-    columns = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    del chunks
+    columns = _read_columns(
+        path, TAPE, functools.partial(_tape_block, cusip_of=cusip_of, condition_of=condition_of)
+    )
+    if columns is None:
+        return None
     ids = np.sort(columns["record_id"], kind="stable")
     if np.any(ids[1:] == ids[:-1]):
         return None
     del ids
-    names = sorted(cusip_of)  # UTF-8 bytes sort as their texts do
-    rank = np.empty(len(names), np.int32)
-    rank[[cusip_of[name] for name in names]] = np.arange(len(names))
-    columns["cusip"] = rank[columns["cusip"]]
-    cusips = tuple(name.decode("utf-8") for name in names)  # UTF-8 text cut at commas
+    cusips, columns["cusip"] = _ranked(cusip_of, columns["cusip"])
     conditions = tuple(_conditions(text.decode("utf-8")) for text in condition_of)
     return Tape(cusips, conditions, **columns)
 
@@ -665,7 +611,9 @@ _ROWS_PER_WRITE = 4096  # rows formatted at a time: a small working set
 def _write_table(path, artifact: CsvArtifact, table: TradeTable, meta: Mapping | None) -> None:
     """The trade file as ``_write`` writes it: each distinct cusip, k,
     timestamp, volume, leg, epsilon and flag formatted once, each price once
-    per row."""
+    per row. A NaN or an infinity raises NumericalError and leaves no file."""
+    if not (np.isfinite(table.price).all() and np.isfinite(table.volume).all()):
+        raise NumericalError(f"{path}: non-finite price or volume")
     texts = {"cusip": [_csv_field(c) for c in table.cusips]}
     index = {"cusip": table.codes}
     for name in list(artifact.columns)[1:]:

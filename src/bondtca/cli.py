@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, artifacts
 from .calendars import BusinessCalendar, IsoWeek
 from .classify import classify_trades
-from .errors import BondTcaError, ConfigError, DataError, ResourceError
+from .errors import BondTcaError, ConfigError, DataError, NumericalError, ResourceError
 from .features import DESIGN_FEATURES, build_feature_matrix, design_matrix
 from .impact import (
     SignSeries, average_kernels, empirical_signature, estimate_pair_moments, estimate_tim1,
@@ -616,6 +616,8 @@ def main(argv: list[str] | None = None) -> int:
         return _report_error(exc)
     except MemoryError as exc:  # last resort: a size no setting's bound caught
         return _report_error(ResourceError(f"out of memory: {exc}"))
+    except np.linalg.LinAlgError as exc:  # last resort: a solve no check caught
+        return _report_error(NumericalError(f"linear algebra failed: {exc}"))
     return 0
 
 

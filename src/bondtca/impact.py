@@ -58,6 +58,14 @@ class SignSeries:
             raise DataError("mid-prices must be finite")
         if not (math.isfinite(self.alpha) and self.alpha >= 0):
             raise DataError("power index must be finite and >= 0")
+        if t:  # the second moments of V^alpha * epsilon divide by the mean of V^(2 alpha)
+            with np.errstate(over="ignore", under="ignore"):
+                peak = np.max(self.volume) ** (2 * self.alpha)
+            if not 0 < peak < np.inf:
+                raise NumericalError(
+                    f"alpha={self.alpha!r} takes volume**(2*alpha) of {self.cusip} "
+                    "out of the float range"
+                )
 
     @property
     def t(self) -> int:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import datetime as dt
+import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from bondtca.classify import classify_bond, classify_trades
 from bondtca.cli import main
 from bondtca.errors import NumericalError, ParseError
 from bondtca.features import GRADE_INDICATORS, GRADES, SECTOR_INDICATORS, SECTORS
-from bondtca.ingest import Trade, TradeTable
-from conftest import make_trade
+from bondtca.ingest import Tape, Trade, TradeTable
+from conftest import make_trade, reports_of, trade_row
 
 DECLARATIONS = {
     name: value for name, value in vars(artifacts).items() if isinstance(value, artifacts.CsvArtifact)
@@ -157,7 +159,7 @@ def test_degenerate_welch_t_is_written_as_null(tmp_path):
     assert asymmetry["mean_spread_buy_bp"] > asymmetry["mean_spread_sell_bp"]
 
 
-# -- the trade files' column reader and writer, against the row path ----------
+# -- the column reader and the trade files' writer, against the row path ------
 
 # field texts at the edge of what one reader or the other takes: numpy reads
 # year 0 and a number between 0x1c-0x1f bytes but Python does not, Python
@@ -184,55 +186,94 @@ EDGE_TEXTS = {
     "leg": ["customer_sellX", "customer_sel", "Customer_buy", " dealer_dealer", "dealer_dealer "],
     "epsilon": ["-0", "+1", "01", " 1", "2", "-10"],
     "is_rpt": ["00", "true", "2", " 1", "1 "],
+    "record_id": ["R" * 40, "R" * 31, "R" * 32, "R1 ", " R1", "", "é", "R\x00"],
+    "exec_date": [
+        "0000-01-01", "2015-02-29", "2016-02-29", "2015-13-01", "2015-01-00", "2015-1-5",
+        "2015-01-05 ", "20150105", "٢٠١٥-01-05", "9999-12-31", "0001-01-01",
+    ],
+    "exec_time": [
+        "24:00:00", "23:59:60", "23:60:00", "23:59:59", "00:00:00", "10:00", "10:00:00.5",
+        "1:2:3", "10:00:00 ", "٣:00:00", "10:00:00Z",
+    ],
+    "report_kind": ["Trade", "trade ", "cancelled", "", "reversal\t"],
+    "references_record": ["", "R" * 40, " R1", "R1 "],
+    "capacity": ["principal ", "Agent", "", "dealer"],
+    "contra_party": ["customer ", "DEALER", "", "agent"],
+    "customer_side": ["customer_buy ", "dealer_dealer", "customer_sel", ""],
+    "sale_condition": ["Z;T", "T S", " Z", "Z;", ";;", "X" * 40, "é", "Z\tT"],
+    "sub_product": ["corporate_bond ", "other ", "bond", ""],
 }
 EDGE_TEXTS["volume"] = EDGE_TEXTS["price"]
-CANONICAL_TEXTS = {
-    "cusip": CUSIP,
-    "k": st.integers(-(2**63), 2**63 - 1).map(str),
-    "timestamp": st.datetimes().map(lambda t: t.replace(microsecond=0).isoformat(" ")),
-    "price": POSITIVE.map(repr),
-    "volume": POSITIVE.map(repr),
-    "leg": st.sampled_from(["customer_buy", "customer_sell", "dealer_dealer"]),
-    "epsilon": st.sampled_from(["-1", "0", "1"]),
-    "is_rpt": st.sampled_from(["0", "1"]),
+
+
+def canonical_fields(artifact):
+    """The texts of a row as the row path writes them."""
+    formats = [codec.format for codec in artifact.columns.values()]
+    names = [f.name for f in dataclasses.fields(artifact.row_type)][: len(formats)]
+    return rows_of(artifact).map(
+        lambda row: [fmt(getattr(row, name)) for fmt, name in zip(formats, names)]
+    )
+
+
+def read_by_rows(path, read):
+    """``read``'s result by the row path alone, or its ParseError."""
+    with mock.patch.object(artifacts, "_read_tape", return_value=None), \
+            mock.patch.object(artifacts, "_read_table", return_value=None):
+        try:
+            return read(path)
+        except ParseError as exc:
+            return exc
+
+
+def write_rows(path, artifact, rows):
+    text = "\n".join([artifacts.meta_line({"seed": 1}), ",".join(artifact.header), *rows, ""])
+    path.write_bytes(text.encode())
+    return path
+
+
+def comparable(result):
+    """A table, or a tape's reports, which compare by value."""
+    return reports_of(result) if isinstance(result, Tape) else result
+
+
+# each column-read artifact: its column reader, which may defer, and its reader
+COLUMN_READERS = {
+    "TAPE": (artifacts.TAPE, artifacts._read_tape, artifacts.load_tape),
+    "CLEAN": (
+        artifacts.CLEAN,
+        functools.partial(artifacts._read_table, artifact=artifacts.CLEAN),
+        artifacts.read_clean_trades,
+    ),
+    "SIGNED": (
+        artifacts.SIGNED,
+        functools.partial(artifacts._read_table, artifact=artifacts.SIGNED),
+        artifacts.read_signed_trades,
+    ),
 }
 
 
-def read_by_rows(path, artifact):
-    """The row path's table, or its ParseError."""
-    try:
-        return TradeTable.from_rows(artifacts._read(path, artifact))
-    except ParseError as exc:
-        return exc
-
-
-@pytest.mark.parametrize(
-    "artifact, read",
-    [
-        (artifacts.CLEAN, artifacts.read_clean_trades),
-        (artifacts.SIGNED, artifacts.read_signed_trades),
-    ],
-    ids=["CLEAN", "SIGNED"],
-)
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_column_reader_matches_the_row_path(tmp_path, artifact, read, data):
-    edge = data.draw(st.booleans())
+def test_column_reader_matches_the_row_path(tmp_path, name, data):
+    artifact, fast_read, read = COLUMN_READERS[name]
     rows = []
-    for _ in range(data.draw(st.integers(0, 5))):
-        fields = [data.draw(CANONICAL_TEXTS[name]) for name in artifact.columns]
-        if edge:
-            column = data.draw(st.integers(0, len(fields) - 1))
-            fields[column] = data.draw(st.sampled_from(EDGE_TEXTS[artifact.header[column]]))
-        rows.append(",".join(fields))
-    path = tmp_path / "trades.csv"
-    path.write_bytes(
-        "\n".join([artifacts.meta_line({"seed": 1}), ",".join(artifact.header), *rows, ""]).encode()
-    )
-    want = read_by_rows(path, artifact)
-    fast = artifacts._read_table(path, artifact)
+    for i in range(data.draw(st.integers(0, 5))):
+        fields = data.draw(canonical_fields(artifact))
+        if "record_id" in artifact.columns:
+            fields[0] = f"R{i}"  # a repeated record id sends the tape to the row path
+        rows.append(fields)
+    # one edge text in one row, so that the column reader's verdict is on it
+    edge = bool(rows) and data.draw(st.booleans())
+    if edge:
+        fields = data.draw(st.sampled_from(rows))
+        column = data.draw(st.integers(0, len(fields) - 1))
+        fields[column] = data.draw(st.sampled_from(EDGE_TEXTS[artifact.header[column]]))
+    path = write_rows(tmp_path / "trades.csv", artifact, map(",".join, rows))
+    want = read_by_rows(path, read)
+    fast = fast_read(path)
     if fast is not None:
-        assert isinstance(want, TradeTable) and fast == want
+        assert not isinstance(want, ParseError) and comparable(fast) == comparable(want)
     elif not edge:
         pytest.fail("the column reader deferred on canonical text")
     if isinstance(want, ParseError):
@@ -240,7 +281,83 @@ def test_column_reader_matches_the_row_path(tmp_path, artifact, read, data):
             read(path)
         assert str(exc.value) == str(want)
     else:
-        assert read(path) == want
+        assert comparable(read(path)) == comparable(want)
+
+
+def bond_rows(name):
+    """Rows of bonds B, A and C, 20 each and in that order: they straddle
+    blocks of a few hundred bytes, and a later block brings the first cusip.
+    The last row's price is 159.0."""
+    rows = []
+    for i, cusip in enumerate(["B"] * 20 + ["A"] * 20 + ["C"] * 20):
+        if name == "TAPE":
+            rows.append(trade_row(f"R{i}", cusip=cusip, time=f"10:{i:02d}:00", price=100.0 + i))
+        else:
+            row = f"{cusip},{i},2015-01-05 10:{i:02d}:00,{100.0 + i},50000.0,customer_buy"
+            rows.append(row + ",1,0" if name == "SIGNED" else row)
+    return rows
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of 300 bytes; a mock that counts the blocks read."""
+    blocks = mock.Mock(wraps=artifacts._block_columns)
+    monkeypatch.setattr(artifacts, "_BYTES_PER_READ", 300)
+    monkeypatch.setattr(artifacts, "_block_columns", blocks)
+    return blocks
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
+def test_rows_of_a_bond_straddle_blocks(tmp_path, small_blocks, name):
+    artifact, fast_read, read = COLUMN_READERS[name]
+    path = write_rows(tmp_path / "bonds.csv", artifact, bond_rows(name))
+    fast = fast_read(path)
+    assert small_blocks.call_count > 6
+    assert fast is not None and fast.cusips == ("A", "B", "C")
+    assert comparable(fast) == comparable(read_by_rows(path, read))
+
+
+# a last row that is not canonical sends the whole file to the row path,
+# which reads it or names it
+LAST_ROWS = {
+    "quoted cusip": lambda row: row.replace("C,", '"C",', 1),
+    "carriage return": lambda row: row + "\r",
+    "non-finite price": lambda row: row.replace(",159.0,", ",nan,"),
+}
+
+
+@pytest.mark.parametrize("last", sorted(LAST_ROWS))
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
+def test_a_last_row_not_canonical_sends_the_file_to_the_row_path(
+    tmp_path, small_blocks, name, last
+):
+    artifact, fast_read, read = COLUMN_READERS[name]
+    rows = bond_rows(name)
+    canonical = comparable(fast_read(write_rows(tmp_path / "canonical.csv", artifact, rows)))
+    path = write_rows(tmp_path / "last.csv", artifact, [*rows[:-1], LAST_ROWS[last](rows[-1])])
+    small_blocks.reset_mock()
+    assert fast_read(path) is None
+    assert small_blocks.call_count > 6
+    want = read_by_rows(path, read)
+    if last == "non-finite price":
+        assert (want.row, want.column) == (62, "price")
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == str(want)
+    else:
+        assert comparable(want) == canonical
+        assert comparable(read(path)) == canonical
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_READERS))
+def test_a_header_without_rows(tmp_path, name):
+    artifact, fast_read, read = COLUMN_READERS[name]
+    path = write_rows(tmp_path / "empty.csv", artifact, [])
+    fast, want = fast_read(path), read_by_rows(path, read)
+    assert fast is not None and len(fast) == 0 and fast.cusips == ()
+    assert {k: v.dtype for k, v in vars(fast).items() if isinstance(v, np.ndarray)} == {
+        k: v.dtype for k, v in vars(want).items() if isinstance(v, np.ndarray)
+    }
 
 
 TRADE_ROWS = st.builds(

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bondtca import artifacts, cli
 from bondtca.cli import main
+from bondtca.errors import NumericalError
 from conftest import tape_csv, trade_row
 
 
@@ -507,6 +509,46 @@ def test_out_of_memory_exit_5(workdir, capsys, monkeypatch):
     error = json.loads(err[0])
     assert error["error"] == "ResourceError"
     assert error["message"] == "out of memory: Unable to allocate 745. GiB for an array"
+
+
+def test_failed_linear_algebra_exit_4(workdir, capsys, monkeypatch):
+    def diverge(args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "cmd_impact", diverge)
+    assert run(["impact", "--signed", "signed.csv"]) == 4
+    error = read_err(capsys)
+    assert error["error"] == "NumericalError"
+    assert error["message"] == "linear algebra failed: SVD did not converge"
+
+
+@pytest.mark.parametrize(
+    "flags", [["--alpha", 30], ["--alpha", 30, "--model", "tim2"], ["--alpha", "1e308"]]
+)
+def test_alpha_out_of_the_float_range_exit_4(workdir, capsys, flags):
+    # V^(2 alpha) overflows: once nan in every d_model, or a LinAlgError traceback
+    assert run(["generate", "--seed", 5, "--events", 3000, "--bonds", 3,
+                "--rpt-fraction", 0.3]) == 0
+    assert run(["ingest", "--tape", "tape.csv"]) == 0
+    assert run(["classify", "--clean", "clean.csv"]) == 0
+    capsys.readouterr()
+    assert run(["impact", "--signed", "signed.csv", *flags]) == 4
+    error = read_err(capsys)
+    assert error["error"] == "NumericalError"
+    assert f"alpha={float(flags[1])!r}" in error["message"]
+    assert not Path("signature.csv").exists() and not Path("kernels.json").exists()
+
+
+def test_no_csv_writer_writes_a_non_finite_number(workdir):
+    with pytest.raises(NumericalError, match="signature.csv: non-finite number nan"):
+        artifacts.write_signature("signature.csv", [1, 2], [0.5, 1.0], [0.25, np.nan])
+    assert not Path("signature.csv").exists()
+    Path("signed.csv").write_text(f"# meta\n{','.join(artifacts.SIGNED.header)}\n{SIGNED_ROW}\n")
+    table = artifacts.read_signed_trades("signed.csv")
+    table.price[0] = np.inf  # a table whose price went non-finite
+    with pytest.raises(NumericalError, match="copy.csv: non-finite price or volume"):
+        artifacts.write_signed_trades("copy.csv", table)
+    assert not Path("copy.csv").exists()
 
 
 NO_SCIPY_CHAIN = (

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def series_from(eps, mid, volume=None, alpha=0.0):
 def test_sign_series_rejects_non_finite(volume, mid, alpha):
     with pytest.raises(DataError):
         series_from([1, -1], mid, volume=volume, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "volume, alpha",
+    [(1e6, 30.0), (1e6, 1e308), (2.0, 600.0), (0.5, 600.0), (1e-300, 2.0)],
+)
+def test_sign_series_names_alpha_out_of_the_float_range(volume, alpha):
+    # V^(2 alpha) overflows, or underflows to zero for every event
+    with pytest.raises(NumericalError, match=re.escape(f"alpha={alpha!r}")):
+        series_from([1, -1], [0.0, 1.0], volume=[volume, volume], alpha=alpha)
+    series_from([1, -1], [0.0, 1.0], volume=[volume, volume], alpha=0.25)
 
 
 def lag_series(values):
